@@ -179,10 +179,10 @@ def catalog_get(label: str, index: Optional[Union[int, Tuple[int, int]]] = None)
     if "_" in label and index is None:
         parts = label.split("_")
         label = parts[0]
-        if label == "Y":
-            index = (int(parts[1]), int(parts[2]))
-        else:
-            index = int(parts[1])
+        arity = 2 if label == "Y" else 1
+        if len(parts) != arity + 1 or not all(p.isdigit() for p in parts[1:]):
+            raise InputError("malformed catalog label %r" % "_".join(parts))
+        index = tuple(int(p) for p in parts[1:]) if arity == 2 else int(parts[1])
     if label == "A":
         if not isinstance(index, int) or not 1 <= index <= 6:
             raise InputError("A-series catalog covers A_1..A_6")

@@ -96,9 +96,9 @@ def _semigroup_report(curve: QuasiCurve, max_degree: Optional[int]) -> Dict[str,
 
 
 def _derivation_report(curve: QuasiCurve) -> Dict[str, Any]:
-    data = koszul_data(curve)
-    q = q_element(curve)
     ext = extend(curve, koszul(curve))
+    data = koszul_data(curve, ext)
+    q = q_element(curve)
     branches = []
     for i in range(curve.r):
         branches.append(
@@ -200,11 +200,14 @@ def cmd_catalog(args) -> int:
         raise InputError("catalog info/fixtures needs --label")
     index = None
     if args.index is not None:
-        if "," in args.index:
-            m, n = args.index.split(",")
-            index = (int(m), int(n))
-        else:
-            index = int(args.index)
+        parts = args.index.split(",")
+        try:
+            values = [int(p) for p in parts]
+        except ValueError:
+            raise InputError("--index must be an integer or m,n") from None
+        if len(values) > 2:
+            raise InputError("--index must be an integer or m,n")
+        index = tuple(values) if len(values) == 2 else values[0]
     entry = catalog_get(args.label, index)
     if args.action == "info":
         report = {

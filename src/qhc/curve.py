@@ -8,7 +8,7 @@ in the image of the normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -301,6 +301,13 @@ class QuasiCurve:
     wf: int
     unit: FieldElement
     branches: tuple
+    # Per-curve memos, none of which takes part in equality or hashing:
+    # monomial images keyed by (x-exp, y-exp), the powers [1, c, c^2, ...]
+    # of each coefficient c of n_i(x), n_i(y), and values derived from the
+    # curve alone (derivation.q_element).
+    _images: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    _powers: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    _derived: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def create(
@@ -355,12 +362,51 @@ class QuasiCurve:
 
     def normalization_image(self, h: BiPoly) -> List[UniPoly]:
         """n(h): the per-branch images under the normalization map."""
-        return [h.evaluate(br.nx, br.ny) for br in self.branches]
+        per_branch: List[dict] = [{} for _ in self.branches]
+        for (a, b), c in h.terms:
+            for acc, img in zip(per_branch, self.monomial_image(a, b)):
+                for e, v in img.terms:
+                    acc[e] = acc[e] + c * v if e in acc else c * v
+        return [UniPoly.make(self.field, acc) for acc in per_branch]
 
     def monomial_image(self, xe: int, ye: int) -> List[UniPoly]:
-        return self.normalization_image(
-            BiPoly.monomial(self.field, self.field.one(), xe, ye)
-        )
+        """n(x^xe y^ye): one monomial c*t_i^e (or zero) per branch.
+
+        With n_i(x) = c_x t^{e_x} and n_i(y) = c_y t^{e_y} the image is
+        c_x^xe c_y^ye t^{xe*e_x + ye*e_y}; it vanishes on an axis branch
+        whose vanishing coordinate has a positive exponent.
+        """
+        key = (xe, ye)
+        img = self._images.get(key)
+        if img is None:
+            if xe < 0 or ye < 0:
+                raise InputError("negative exponent in k[x,y]")
+            img = tuple(self._branch_image(br, xe, ye) for br in self.branches)
+            self._images[key] = img
+        return list(img)
+
+    def _branch_image(self, br: Branch, xe: int, ye: int) -> UniPoly:
+        coeff, exp = None, 0
+        for p, k in ((br.nx, xe), (br.ny, ye)):
+            if not k:
+                continue
+            if not p:
+                return UniPoly.zero(self.field)
+            c, e = p.monomial_parts()
+            ck = self._power(c, k)
+            coeff, exp = ck if coeff is None else coeff * ck, exp + e * k
+        if coeff is None:
+            coeff = self.field.one()
+        return UniPoly.monomial(self.field, coeff, exp)
+
+    def _power(self, c: FieldElement, k: int) -> FieldElement:
+        """c^k, from the curve's table of the powers of c."""
+        powers = self._powers.get(c)
+        if powers is None:
+            powers = self._powers[c] = [self.field.one()]
+        while len(powers) <= k:
+            powers.append(powers[-1] * c)
+        return powers[k]
 
     def image_membership(
         self, target: Sequence[UniPoly], w: int
@@ -378,7 +424,8 @@ class QuasiCurve:
             if w % br.t_degree == 0 and w >= 0:
                 rows.append((i, w // br.t_degree))
         row_index = {key: pos for pos, key in enumerate(rows)}
-        rhs = [self.field.zero()] * len(rows)
+        zero = self.field.zero()
+        rhs = [zero] * len(rows)
         for i, p in enumerate(target):
             for e, c in p.terms:
                 key = (i, e)
@@ -389,7 +436,7 @@ class QuasiCurve:
         cols = []
         for a, b in monos:
             img = self.monomial_image(a, b)
-            col = [self.field.zero()] * len(rows)
+            col = [zero] * len(rows)
             for i, p in enumerate(img):
                 for e, c in p.terms:
                     col[row_index[(i, e)]] = c

@@ -115,13 +115,17 @@ def extension_applies(
     return lhs == rhs
 
 
-def koszul_data(curve: QuasiCurve) -> KoszulData:
+def koszul_data(
+    curve: QuasiCurve, ext: Optional[ExtendedDerivation] = None
+) -> KoszulData:
     """beta_i and c_i read off the extended Koszul derivation.
 
     Each delta_i must be a monomial beta_i t^{c_i} with c_i matching the
     semigroup conductor; anything else is an internal inconsistency.
+    ext is extend(curve, koszul(curve)) when the caller already has it.
     """
-    ext = extend(curve, koszul(curve))
+    if ext is None:
+        ext = extend(curve, koszul(curve))
     betas = []
     conductors = []
     for i, delta in enumerate(ext.deltas):
@@ -140,8 +144,20 @@ def koszul_data(curve: QuasiCurve) -> KoszulData:
 
 
 def q_element(curve: QuasiCurve) -> QElement:
-    """q with ~D = q * ~E, verified together with q*x, q*y in A."""
-    data = koszul_data(curve)
+    """q with ~D = q * ~E, verified together with q*x, q*y in A.
+
+    Computed once per curve and kept on it.
+    """
+    q = curve._derived.get("q_element")
+    if q is None:
+        q = _compute_q(curve)
+        curve._derived["q_element"] = q
+    return q
+
+
+def _compute_q(curve: QuasiCurve) -> QElement:
+    ext_d = extend(curve, koszul(curve))
+    data = koszul_data(curve, ext_d)
     fld = curve.field
     coeffs = []
     exps = []
@@ -155,7 +171,6 @@ def q_element(curve: QuasiCurve) -> QElement:
         exps.append(g)
     q = QElement(tuple(coeffs), tuple(exps))
     # ~D = q * ~E componentwise
-    ext_d = extend(curve, koszul(curve))
     ext_e = extend(curve, euler(curve))
     qvec = q.as_vector(curve)
     for i in range(curve.r):

@@ -28,7 +28,13 @@ def curve_from_json(data: Dict[str, Any]) -> QuasiCurve:
             coeff = element_from_json(field, term["coeff"])
             terms[(int(term["x"]), int(term["y"]))] = coeff
         f = BiPoly.make(field, terms)
-        weights = tuple(data["weights"]) if "weights" in data else None
+        weights = None
+        if "weights" in data:
+            weights = tuple(data["weights"])
+            if len(weights) != 2 or not all(
+                isinstance(w, int) and not isinstance(w, bool) for w in weights
+            ):
+                raise InputError("weights must be a list of two integers")
         branches = None
         if "branches" in data:
             branches = []
@@ -78,6 +84,11 @@ def module_from_json(curve: QuasiCurve, data: Dict[str, Any]) -> GradedSubmodule
             for term in gen:
                 i = int(term["branch"]) - 1
                 j = int(term["index"]) - 1
+                if not (0 <= i < curve.r and 0 <= j < len(shifts[i])):
+                    raise InputError(
+                        "generator term (branch %d, index %d) is not a cover slot"
+                        % (i + 1, j + 1)
+                    )
                 coeff = element_from_json(curve.field, term["coeff"])
                 exp = int(term["exp"])
                 mono = UniPoly.monomial(curve.field, coeff, exp)

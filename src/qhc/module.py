@@ -10,7 +10,7 @@ embedding by graded column reduction, and the condition checkers
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .curve import QuasiCurve
@@ -127,10 +127,21 @@ def basis_element(curve: QuasiCurve, i: int, j: int, exp: int = 0) -> ModuleElem
 
 # A witness term is (generator index, (x-exp, y-exp), coefficient):
 # v = sum coeff * n(x^a y^b) * m_l.
-Witness = List[Tuple[int, Tuple[int, int], FieldElement]]
+# FieldElement is named by string: typing caches every subscription for the
+# life of the process, and a class object there would keep each re-imported
+# copy of this package alive.
+Witness = List[Tuple[int, Tuple[int, int], "FieldElement"]]
 
 
 class GradedSubmodule:
+    """Graded submodule of a free cover, spanned by homogeneous generators.
+
+    Each degree piece M_w is built and eliminated once, on first use, and
+    kept as long as the module, so the generators must not change after
+    construction; shifted() and canonical_embedding() return new modules
+    that start empty.
+    """
+
     def __init__(
         self,
         curve: QuasiCurve,
@@ -140,6 +151,10 @@ class GradedSubmodule:
         self.curve = curve
         self.cover = cover
         self.generators = list(generators)
+        # Per degree w: the position of each cover coordinate (branch, slot,
+        # exponent) of degree w, the span columns chosen as a basis of M_w,
+        # and the elimination of their coordinate vectors.
+        self._pieces: Dict[int, Tuple[dict, list, linalg.Elimination]] = {}
         self.weights = []
         for g in self.generators:
             w = element_degree(curve, cover, g)
@@ -161,73 +176,62 @@ class GradedSubmodule:
         return slots
 
     def _coords(
-        self, v: ModuleElement, slots: List[Tuple[int, int, int]]
-    ) -> Optional[List[FieldElement]]:
-        index = {(i, j, e): pos for pos, (i, j, e) in enumerate(slots)}
-        vec = [self.curve.field.zero()] * len(slots)
+        self, v: ModuleElement, index: Dict[Tuple[int, int, int], int]
+    ) -> List[FieldElement]:
+        """Coordinates of a degree-w element in the slots indexed by index."""
+        vec = [self.curve.field.zero()] * len(index)
         for (i, j), p in v.entries.items():
             for e, c in p.terms:
                 key = (i, j, e)
                 if key not in index:
-                    return None
+                    raise ConsistencyError("element leaves the degree piece")
                 vec[index[key]] = c
         return vec
 
-    def _span_columns(self, w: int) -> List[Tuple[int, Tuple[int, int], ModuleElement]]:
-        """Generating family of M_w: n(monomial) * generator, tagged."""
-        out = []
+    def _span_columns(self, w: int) -> Iterator[Tuple[int, Tuple[int, int], ModuleElement]]:
+        """Generating family of M_w: n(monomial) * generator, tagged, in order."""
         for l, (gen, wl) in enumerate(zip(self.generators, self.weights)):
             delta = w - wl
             if delta < 0:
                 continue
             for a, b in monomials_of_weight(self.curve.wx, self.curve.wy, delta):
-                img = self.curve.monomial_image(a, b)
-                elem = gen.act(img)
+                elem = gen.act(self.curve.monomial_image(a, b))
                 if elem:
-                    out.append((l, (a, b), elem))
-        return out
+                    yield (l, (a, b), elem)
+
+    def _piece(self, w: int) -> Tuple[dict, list, linalg.Elimination]:
+        """The degree-w piece, eliminated once and kept for the module's life."""
+        piece = self._pieces.get(w)
+        if piece is None:
+            index = {s: pos for pos, s in enumerate(self._degree_slots(w))}
+            elimination = linalg.Elimination(len(index), self.curve.field)
+            basis = []
+            for col in self._span_columns(w):
+                if elimination.add(self._coords(col[2], index)):
+                    basis.append(col)
+                    if elimination.full:
+                        break
+            piece = self._pieces[w] = (index, basis, elimination)
+        return piece
 
     def graded_piece(self, w: int) -> List[ModuleElement]:
         """A basis of M_w (subset of the canonical generating family)."""
-        columns = self._span_columns(w)
-        slots = self._degree_slots(w)
-        vectors = []
-        for _, _, elem in columns:
-            coords = self._coords(elem, slots)
-            if coords is None:
-                raise ConsistencyError("generated element leaves the degree piece")
-            vectors.append(coords)
-        chosen = linalg.independent_subset(vectors, self.curve.field)
-        return [columns[k][2] for k in chosen]
+        return [elem for _, _, elem in self._piece(w)[1]]
 
     def contains(self, v: ModuleElement) -> Optional[Witness]:
-        """Membership of a homogeneous element, with an explicit witness."""
+        """Membership of a homogeneous element, with an explicit witness.
+
+        The witness is the unique combination of the graded_piece basis,
+        i.e. what solving against the whole span family with free
+        variables set to zero returns.
+        """
         if not v:
             return []
-        w = element_degree(self.curve, self.cover, v)
-        slots = self._degree_slots(w)
-        rhs = self._coords(v, slots)
-        if rhs is None:
+        index, basis, elimination = self._piece(element_degree(self.curve, self.cover, v))
+        coeffs = elimination.solve(self._coords(v, index))
+        if coeffs is None:
             return None
-        columns = self._span_columns(w)
-        matrix_cols = []
-        for _, _, elem in columns:
-            coords = self._coords(elem, slots)
-            if coords is None:
-                raise ConsistencyError("generated element leaves the degree piece")
-            matrix_cols.append(coords)
-        matrix = [
-            [matrix_cols[c][r] for c in range(len(matrix_cols))]
-            for r in range(len(slots))
-        ]
-        sol = linalg.solve(matrix, rhs, self.curve.field)
-        if sol is None:
-            return None
-        return [
-            (columns[c][0], columns[c][1], coeff)
-            for c, coeff in enumerate(sol)
-            if coeff
-        ]
+        return [(l, ab, c) for (l, ab, _), c in zip(basis, coeffs) if c]
 
     def replay_witness(self, witness: Witness) -> ModuleElement:
         out = ModuleElement(self.curve.field, {})
@@ -330,27 +334,21 @@ class GradedSubmodule:
     # -- conditions ----------------------------------------------------------
 
     def check_C1(self) -> Dict[Tuple[int, int], bool]:
-        """(C1) as existence: some u in M_{f_ij} projects to exactly e_ij."""
+        """(C1) as existence: some u in M_{f_ij} projects to exactly e_ij.
+
+        The branch-i projection of M_w is spanned by the projections of a
+        basis of M_w, so the system has one column per basis vector.
+        """
+        field = self.curve.field
         out = {}
         for i, j in self.cover.slots():
-            w = self.cover.shifts[i][j]
-            columns = self._span_columns(w)
-            slots = [s for s in self._degree_slots(w) if s[0] == i]
-            index = {s: pos for pos, s in enumerate(slots)}
-            rhs = [self.curve.field.zero()] * len(slots)
-            rhs[index[(i, j, 0)]] = self.curve.field.one()
-            matrix = []
-            for pos in range(len(slots)):
-                row = []
-                for _, _, elem in columns:
-                    si, sj, se = slots[pos]
-                    row.append(elem.entries.get((si, sj), UniPoly.zero(self.curve.field)).coeff(se))
-                matrix.append(row)
-            out[(i, j)] = (
-                linalg.solve(matrix, rhs, self.curve.field) is not None
-                if columns
-                else False
-            )
+            index, basis, _ = self._piece(self.cover.shifts[i][j])
+            rows = [pos for slot, pos in index.items() if slot[0] == i]
+            coords = [self._coords(elem, index) for _, _, elem in basis]
+            matrix = [[vec[pos] for vec in coords] for pos in rows]
+            rhs = [field.zero()] * len(rows)
+            rhs[rows.index(index[(i, j, 0)])] = field.one()
+            out[(i, j)] = bool(coords) and linalg.solve(matrix, rhs, field) is not None
         return out
 
     def check_C2(self) -> Dict[Tuple[int, int], bool]:

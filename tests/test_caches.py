@@ -1,0 +1,239 @@
+"""The per-curve and per-module caches agree with the uncached computations.
+
+Each test keeps the uncached path as a reference: monomial images through
+BiPoly.evaluate, graded pieces through independent_subset over the whole
+span family, and membership by solving the whole matrix, both with the
+elimination loops that predate linalg.Elimination (from test_linalg).
+"""
+
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from qhc import derivation
+from qhc.catalog import ADE_LABELS, catalog_get, fixture_modules
+from qhc.connection import default_degree_bound
+from qhc.derivation import q_element
+from qhc.module import ModuleElement, basis_element
+from qhc.poly import BiPoly, UniPoly, monomials_of_weight
+
+from test_linalg import reference_independent_subset, reference_solve
+
+# Every ADE entry (over Q, Q(i), Q(zeta8), Q(zeta12)) and Y entries, whose
+# y-axis branch has a vanishing x-image.
+Y_LABELS = ["Y_1_1", "Y_2_1", "Y_1_2", "Y_3_2", "Y_2_3", "Y_5_3", "Y_7_4", "Y_10_9"]
+CATALOG_LABELS = list(ADE_LABELS) + Y_LABELS
+# Fixture modules of the larger Y entries take long to check exhaustively.
+FIXTURE_LABELS = list(ADE_LABELS) + ["Y_1_2", "Y_3_2", "Y_2_3", "Y_5_2"]
+
+
+def _evaluated_image(curve, a, b):
+    mono = BiPoly.monomial(curve.field, curve.field.one(), a, b)
+    return [mono.evaluate(br.nx, br.ny) for br in curve.branches]
+
+
+_memo_evaluated_image = functools.lru_cache(maxsize=None)(_evaluated_image)
+
+
+def _reference_span(M, w):
+    """The tagged span family of M_w, images computed by evaluation."""
+    out = []
+    for l, (gen, wl) in enumerate(zip(M.generators, M.weights)):
+        for a, b in monomials_of_weight(M.curve.wx, M.curve.wy, w - wl):
+            elem = gen.act(_memo_evaluated_image(M.curve, a, b))
+            if elem:
+                out.append((l, (a, b), elem))
+    return out
+
+
+def _reference_coords(M, v, slots):
+    index = {s: pos for pos, s in enumerate(slots)}
+    vec = [M.curve.field.zero()] * len(slots)
+    for (i, j), p in v.entries.items():
+        for e, c in p.terms:
+            if (i, j, e) not in index:
+                return None
+            vec[index[(i, j, e)]] = c
+    return vec
+
+
+def _reference_contains(M, w):
+    """Membership in M_w as solved on the full span-family matrix."""
+    slots = M._degree_slots(w)
+    columns = _reference_span(M, w)
+    cols = [_reference_coords(M, elem, slots) for _, _, elem in columns]
+    matrix = [[col[r] for col in cols] for r in range(len(slots))]
+
+    def contains(v):
+        if not v:
+            return []
+        rhs = _reference_coords(M, v, slots)
+        sol = reference_solve(matrix, rhs, M.curve.field)[0]
+        if sol is None:
+            return None
+        return [(columns[c][0], columns[c][1], x) for c, x in enumerate(sol) if x]
+
+    return contains
+
+
+def _fixture_modules(label):
+    entry = catalog_get(label)
+    curve = entry.curve()
+    for fx in fixture_modules(entry):
+        M = fx.module(curve)
+        yield fx.name, M
+        yield fx.name + "/canonical", M.canonical_embedding()
+
+
+def _degrees(M):
+    return range(M.min_shift(), default_degree_bound(M.curve, M) + 1)
+
+
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_monomial_images_match_evaluation(label):
+    curve = catalog_get(label).curve()
+    for w in range(3 * curve.wf + 1):
+        for a, b in monomials_of_weight(curve.wx, curve.wy, w):
+            expected = _evaluated_image(curve, a, b)
+            assert curve.monomial_image(a, b) == expected, (label, a, b)
+            assert curve.monomial_image(a, b) == expected, (label, a, b)
+
+
+def test_images_do_not_depend_on_query_order():
+    for label in ("A_5", "D_6", "Y_5_3"):
+        curve = catalog_get(label).curve()
+        for a, b in ((9, 7), (0, 11), (2, 3), (13, 0), (1, 1)):
+            assert curve.monomial_image(a, b) == _evaluated_image(curve, a, b)
+
+
+def test_normalization_image_matches_evaluation():
+    for label in ("A_3", "D_4", "E_7", "Y_3_2"):
+        curve = catalog_get(label).curve()
+        h = curve.f.dx() * curve.f.dy() + curve.f.dx()
+        assert curve.normalization_image(h) == [
+            h.evaluate(br.nx, br.ny) for br in curve.branches
+        ]
+        assert not any(curve.normalization_image(curve.f))
+
+
+def test_mutating_a_returned_image_leaves_the_cache_intact():
+    curve = catalog_get("D_4").curve()
+    first = curve.monomial_image(2, 1)
+    expected = list(first)
+    first[0] = UniPoly.zero(curve.field)
+    first.append(first[1])
+    assert curve.monomial_image(2, 1) == expected
+    assert curve.monomial_image(2, 1) is not curve.monomial_image(2, 1)
+
+
+def test_caches_do_not_change_equality_or_hashing():
+    warm = catalog_get("Y_3_2").curve()
+    cold = catalog_get("Y_3_2").curve()
+    warm.monomial_image(4, 5)
+    q_element(warm)
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+    assert "_images" not in repr(warm)
+
+
+def test_q_element_is_computed_once_per_curve(monkeypatch):
+    calls = []
+    real_extend = derivation.extend
+
+    def counting_extend(curve, P):
+        calls.append(P)
+        return real_extend(curve, P)
+
+    monkeypatch.setattr(derivation, "extend", counting_extend)
+    curve = catalog_get("D_5").curve()
+    q = q_element(curve)
+    assert len(calls) == 2  # the Koszul and the Euler extension, once each
+    assert q_element(curve) is q
+    assert len(calls) == 2
+    assert q_element(catalog_get("D_5").curve()) == q
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("label", FIXTURE_LABELS)
+def test_graded_piece_is_the_greedy_independent_subset(label):
+    for name, M in _fixture_modules(label):
+        for w in _degrees(M):
+            slots = M._degree_slots(w)
+            columns = _reference_span(M, w)
+            vectors = [_reference_coords(M, elem, slots) for _, _, elem in columns]
+            chosen = reference_independent_subset(vectors, M.curve.field)
+            expected = [columns[k][2] for k in chosen]
+            assert M.graded_piece(w) == expected, (label, name, w)
+
+
+def _candidates(M, w):
+    """Members and non-members of degree w: cover monomials, span columns, sums."""
+    monomials = []
+    for i, j in M.cover.slots():
+        delta = w - M.cover.shifts[i][j]
+        d_i = M.curve.branches[i].t_degree
+        if delta >= 0 and delta % d_i == 0:
+            monomials.append(basis_element(M.curve, i, j, delta // d_i))
+    columns = [elem for _, _, elem in _reference_span(M, w)]
+    field = M.curve.field
+    total = ModuleElement(field, {})
+    for k, elem in enumerate(monomials + columns):
+        total = total + elem.scale(field.from_rational(k + 1))
+    pairs = [columns[0] + columns[-1]] if len(columns) > 1 else []
+    return monomials + columns[:3] + columns[3:][-3:] + [total] + pairs
+
+
+@pytest.mark.parametrize("label", FIXTURE_LABELS)
+def test_contains_returns_the_full_matrix_witness(label):
+    members = outsiders = 0
+    for name, M in _fixture_modules(label):
+        for w in _degrees(M):
+            reference = _reference_contains(M, w)
+            for v in _candidates(M, w):
+                expected = reference(v)
+                assert M.contains(v) == expected, (label, name, w, str(v))
+                if expected is None:
+                    outsiders += 1
+                else:
+                    members += 1
+                    assert M.replay_witness(expected) == v
+    assert members and outsiders
+
+
+def test_shifted_module_answers_with_a_fresh_cache():
+    entry = catalog_get("Y_3_2")
+    curve = entry.curve()
+    M = fixture_modules(entry)[0].module(curve).canonical_embedding()
+    shifted = M.shifted(4)
+    for w in _degrees(M):
+        assert M.graded_piece(w) == shifted.graded_piece(w + 4)
+        for v in _candidates(M, w):
+            assert shifted.contains(v) == M.contains(v)
+
+
+def test_reimporting_the_package_keeps_no_old_copy_alive():
+    """No process-wide cache (such as typing's) may hold a class of qhc."""
+    script = """
+import gc, importlib, sys
+for _ in range(5):
+    for name in [n for n in sys.modules if n == "qhc" or n.startswith("qhc.")]:
+        del sys.modules[name]
+    importlib.import_module("qhc.cli")
+gc.collect()
+print(sum(1 for o in gc.get_objects() if isinstance(o, type) and o.__module__.startswith("qhc.")))
+print(len({o.__name__ for o in gc.get_objects() if isinstance(o, type) and o.__module__.startswith("qhc.")}))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout.split()
+    assert out[0] == out[1]  # one live class object per class name

@@ -172,3 +172,37 @@ def test_cli_fixture_specs_load_back(tmp_path, capsys):
         M = io.module_from_json(curve, payload["module"])
         assert M.cover.shifts == fx.module(curve).cover.shifts
         assert M.generators == fx.module(curve).generators
+
+
+def _assert_clean_input_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "input error" in err
+    assert "Traceback" not in err
+
+
+def test_cli_rejects_one_weight(tmp_path, capsys):
+    spec = io.curve_to_json(y_family_curve(3, 2))
+    spec["weights"] = [3]
+    path = _write(tmp_path, "curve.json", spec)
+    _assert_clean_input_error(main(["curve", "--in", path, "info"]), capsys)
+
+
+def test_cli_rejects_a_truncated_y_label(capsys):
+    _assert_clean_input_error(main(["catalog", "--label", "Y_3", "info"]), capsys)
+
+
+def test_cli_rejects_a_non_integer_index(capsys):
+    code = main(["catalog", "--label", "D", "--index", "abc", "info"])
+    _assert_clean_input_error(code, capsys)
+
+
+@pytest.mark.parametrize("branch, index", [(3, 1), (1, 2), (0, 1), (2, 0)])
+def test_module_terms_outside_the_cover_rejected(branch, index):
+    curve = y_family_curve(3, 2)
+    spec = io.module_to_json(case1_module(curve, 3))
+    spec["generators"][0].append(
+        {"branch": branch, "index": index, "coeff": ["1/1"], "exp": 0}
+    )
+    with pytest.raises(InputError, match="not a cover slot"):
+        io.module_from_json(curve, spec)
