@@ -9,7 +9,7 @@ emitted as ModuleSpec-style data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple, Union
 
 from .curve import BranchKind, QuasiCurve
@@ -33,9 +33,16 @@ class CatalogEntry:
     f: BiPoly
     branches: tuple  # (kind, a, b) seeds
     description: str
+    # The curve, built and validated on first use; not part of equality.
+    _curve: Optional[QuasiCurve] = dc_field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def curve(self) -> QuasiCurve:
-        return QuasiCurve.create(self.field, self.f, self.weights, self.branches)
+        if self._curve is None:
+            curve = QuasiCurve.create(self.field, self.f, self.weights, self.branches)
+            object.__setattr__(self, "_curve", curve)
+        return self._curve
 
 
 def _mono(field, c, xe, ye):
@@ -201,12 +208,8 @@ def catalog_get(label: str, index: Optional[Union[int, Tuple[int, int]]] = None)
         entry = _entry_Y(index[0], index[1])
     else:
         raise InputError("unknown catalog label %r" % label)
-    entry.curve()  # validation: expansion, homogeneity, b-equation
+    entry.curve()  # validation: expansion, homogeneity, b-equation (kept on the entry)
     return entry
-
-
-def all_ade_entries() -> List[CatalogEntry]:
-    return [catalog_get(lbl) for lbl in ADE_LABELS]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ branch from the chain rule and cross-checked on the other coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Tuple
 
 from .curve import BranchKind, QuasiCurve
@@ -48,12 +48,18 @@ class QElement:
 
     coeffs: tuple  # FieldElement per branch
     exps: tuple  # g_i per branch
+    # q as a vector of branch polynomials, built once; not part of equality.
+    _vector: tuple = dc_field(init=False, compare=False, repr=False)
 
-    def as_vector(self, curve: QuasiCurve) -> List[UniPoly]:
-        return [
-            UniPoly.monomial(curve.field, c, e)
-            for c, e in zip(self.coeffs, self.exps)
-        ]
+    def __post_init__(self):
+        vector = tuple(
+            UniPoly.monomial(c.field, c, e) for c, e in zip(self.coeffs, self.exps)
+        )
+        object.__setattr__(self, "_vector", vector)
+
+    def as_vector(self, curve: QuasiCurve) -> Tuple[UniPoly, ...]:
+        """q as (c_i t_i^{g_i})_i; it depends on q alone, curve is not read."""
+        return self._vector
 
 
 def euler(curve: QuasiCurve) -> DerivationOnA:
@@ -104,15 +110,6 @@ def extend(curve: QuasiCurve, P: DerivationOnA) -> ExtendedDerivation:
                 raise InputError("inconsistent extension on branch %d" % (i + 1))
         deltas.append(delta)
     return ExtendedDerivation(tuple(deltas))
-
-
-def extension_applies(
-    curve: QuasiCurve, P: DerivationOnA, ext: ExtendedDerivation, h: BiPoly
-) -> bool:
-    """Defining property of the extension: n(P(h)) = ~P(n(h))."""
-    lhs = curve.normalization_image(P.apply(h))
-    rhs = ext.apply(curve.normalization_image(h))
-    return lhs == rhs
 
 
 def koszul_data(
@@ -183,18 +180,3 @@ def _compute_q(curve: QuasiCurve) -> QElement:
         if curve.image_membership(prod, lam + wh) is None:
             raise ConsistencyError("q*m does not land in A")
     return q
-
-
-def commutator_is_scaled_koszul(curve: QuasiCurve) -> bool:
-    """[E, D] = (w_f - w_x - w_y) * D as derivations on A (checked mod f)."""
-    E = euler(curve)
-    D = koszul(curve)
-    lam = curve.wf - curve.wx - curve.wy
-    x = BiPoly.monomial(curve.field, curve.field.one(), 1, 0)
-    y = BiPoly.monomial(curve.field, curve.field.one(), 0, 1)
-    for coord, d_img in ((x, D.px), (y, D.py)):
-        comm = E.apply(D.apply(coord)) - D.apply(E.apply(coord))
-        diff = comm - d_img.scale(curve.field.from_rational(lam))
-        if any(curve.normalization_image(diff)):
-            return False
-    return True

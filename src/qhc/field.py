@@ -8,7 +8,7 @@ all operations are exact and fully reduced modulo p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -50,9 +50,15 @@ def _poly_divmod(num: list, den: list) -> tuple:
 
 @dataclass(frozen=True)
 class NumberField:
-    """Q[a]/(min_poly); degree 1 means the base field is Q itself."""
+    """Q[a]/(min_poly); degree 1 means the base field is Q itself.
+
+    zero() and one() return one prebuilt element each; they take no part
+    in equality or hashing.
+    """
 
     min_poly: tuple
+    _zero: "FieldElement" = dc_field(init=False, compare=False, repr=False)
+    _one: "FieldElement" = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         coeffs = tuple(as_fraction(c) for c in self.min_poly)
@@ -61,6 +67,8 @@ class NumberField:
         if coeffs[-1] != 1:
             raise InputError("min_poly must be monic")
         object.__setattr__(self, "min_poly", coeffs)
+        object.__setattr__(self, "_zero", self.from_rational(0))
+        object.__setattr__(self, "_one", self.from_rational(1))
 
     @property
     def degree(self) -> int:
@@ -79,10 +87,10 @@ class NumberField:
         return FieldElement(self, tuple(coords))
 
     def zero(self) -> "FieldElement":
-        return self.from_rational(0)
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return self.from_rational(1)
+        return self._one
 
     def generator(self) -> "FieldElement":
         """The class of a; equals 1 when the field is Q (degree 1)."""
@@ -113,7 +121,7 @@ class FieldElement:
     coords: tuple
 
     def _check(self, other: "FieldElement") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise InputError("mismatched field contexts")
 
     def __bool__(self) -> bool:
@@ -136,12 +144,21 @@ class FieldElement:
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        d = self.field.degree
+        x, y = self.coords, other.coords
+        if len(x) == 1:
+            return FieldElement(self.field, (x[0] * y[0],))
+        # A rational factor scales the other's coordinates; nothing to reduce.
+        if not any(y[1:]):
+            x, y = y, x
+        if not any(x[1:]):
+            c = x[0]
+            return FieldElement(self.field, tuple(c * b for b in y))
+        d = len(x)
         prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
+        for i, a in enumerate(x):
             if not a:
                 continue
-            for j, b in enumerate(other.coords):
+            for j, b in enumerate(y):
                 if b:
                     prod[i + j] += a * b
         return FieldElement(self.field, self.field._reduce(prod))

@@ -107,6 +107,10 @@ def element_degree(curve: QuasiCurve, cover: FreeCover, v: ModuleElement) -> Opt
 def homogeneous_components(
     curve: QuasiCurve, cover: FreeCover, v: ModuleElement
 ) -> Dict[int, ModuleElement]:
+    """Components of v by degree; a homogeneous v is its own component."""
+    degs = element_degrees(curve, cover, v)
+    if len(degs) <= 1:
+        return {w: v for w in degs}
     comps: Dict[int, Dict[Tuple[int, int], UniPoly]] = {}
     for (i, j), p in v.entries.items():
         d_i = curve.branches[i].t_degree

@@ -1,18 +1,23 @@
 """Preset catalog entries and their bundled fixture modules."""
 
+import dataclasses
+
 import pytest
 
 from qhc.catalog import (
     ADE_LABELS,
     CatalogEntry,
-    all_ade_entries,
     catalog_get,
     catalog_labels,
     fixture_modules,
 )
-from qhc.curve import BranchKind
+from qhc.curve import BranchKind, QuasiCurve
 from qhc.errors import InputError
 from qhc.field import QQ
+
+
+def all_ade_entries():
+    return [catalog_get(lbl) for lbl in ADE_LABELS]
 
 
 def test_labels_cover_the_supported_range():
@@ -111,3 +116,54 @@ def test_entries_are_immutable_records():
     assert isinstance(entry, CatalogEntry)
     with pytest.raises(Exception):
         entry.label = "other"
+
+
+@pytest.mark.parametrize("label", ["A_2", "D_6", "Y_3_2"])
+def test_each_entry_builds_its_curve_once(monkeypatch, label):
+    calls = []
+    real_create = QuasiCurve.create
+
+    def counting_create(*args, **kwargs):
+        calls.append(args)
+        return real_create(*args, **kwargs)
+
+    monkeypatch.setattr(QuasiCurve, "create", staticmethod(counting_create))
+    entry = catalog_get(label)
+    fixtures = fixture_modules(entry)
+    curve = entry.curve()
+    assert len(calls) == 1
+    assert entry.curve() is curve
+    assert fixtures and all(fx.module(curve).curve is curve for fx in fixtures)
+
+
+def test_the_kept_curve_leaves_equality_and_hashing_unchanged():
+    warm = catalog_get("D_5")
+    cold = CatalogEntry(
+        warm.label, warm.field, warm.weights, warm.f, warm.branches, warm.description
+    )
+    assert warm == cold and hash(warm) == hash(cold)
+    assert "_curve" not in repr(warm)
+    # an entry built directly makes its curve on first use
+    assert cold.curve() == warm.curve()
+    assert cold.curve() is not warm.curve()
+
+
+def test_the_kept_curve_cannot_be_set_or_carried_over():
+    entry = catalog_get("D_5")
+    with pytest.raises(TypeError):
+        CatalogEntry(
+            entry.label,
+            entry.field,
+            entry.weights,
+            entry.f,
+            entry.branches,
+            entry.description,
+            _curve=entry.curve(),
+        )
+    # a copy with another f builds its own curve from that f
+    other = catalog_get("D_6")
+    changed = dataclasses.replace(
+        entry, field=other.field, f=other.f, weights=other.weights, branches=other.branches
+    )
+    assert changed.curve() is not entry.curve()
+    assert changed.curve() == other.curve()

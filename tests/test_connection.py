@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qhc import io
+from qhc import connection, io
+from qhc.catalog import ADE_LABELS, catalog_get, fixture_modules
 from qhc.connection import (
     apply_nabla_D,
     apply_nabla_E,
@@ -14,10 +15,10 @@ from qhc.connection import (
     natural_connection,
     verify_properties,
 )
-from qhc.derivation import q_element
-from qhc.errors import InputError
+from qhc.derivation import QElement, q_element
+from qhc.errors import ConsistencyError, InputError
 from qhc.field import QQ
-from qhc.module import FreeCover, GradedSubmodule, ModuleElement
+from qhc.module import FreeCover, GradedSubmodule, ModuleElement, homogeneous_components
 from qhc.poly import UniPoly
 
 from conftest import cusp_curve, y_family_curve
@@ -161,3 +162,89 @@ def test_reports_are_deterministic():
         return json.dumps(payload, sort_keys=True)
 
     assert render() == render()
+
+
+# The component-splitting operators that predate the homogeneous fast path,
+# kept as references: every element is split monomial by monomial.
+
+
+def reference_components(curve, cover, v):
+    comps = {}
+    for (i, j), p in v.entries.items():
+        d_i = curve.branches[i].t_degree
+        f_ij = cover.shifts[i][j]
+        for e, c in p.terms:
+            w = f_ij + e * d_i
+            slot = comps.setdefault(w, {})
+            mono = UniPoly.monomial(curve.field, c, e)
+            slot[(i, j)] = slot.get((i, j), UniPoly.zero(curve.field)) + mono
+    return {w: ModuleElement(curve.field, d) for w, d in sorted(comps.items())}
+
+
+def reference_nabla_E(curve, cover, v):
+    out = ModuleElement(curve.field, {})
+    for w, comp in reference_components(curve, cover, v).items():
+        out = out + comp.scale(curve.field.from_rational(w))
+    return out
+
+
+def reference_nabla_D(curve, cover, v, q):
+    qvec = [UniPoly.monomial(curve.field, c, e) for c, e in zip(q.coeffs, q.exps)]
+    out = ModuleElement(curve.field, {})
+    for w, comp in reference_components(curve, cover, v).items():
+        out = out + comp.scale(curve.field.from_rational(w)).act(qvec)
+    return out
+
+
+# Every ADE entry (over Q, Q(i), Q(zeta8), Q(zeta12)) and three Y entries.
+FAST_PATH_LABELS = list(ADE_LABELS) + ["Y_3_2", "Y_5_3", "Y_5_4"]
+
+
+@pytest.mark.parametrize("label", FAST_PATH_LABELS)
+def test_nabla_operators_match_the_component_splitting_reference(label):
+    entry = catalog_get(label)
+    curve = entry.curve()
+    q = q_element(curve)
+    for fx in fixture_modules(entry):
+        M = fx.module(curve)
+        firsts = []
+        for w in range(M.min_shift(), default_degree_bound(curve, M) + 1):
+            basis = M.graded_piece(w)
+            for vec in basis:
+                assert apply_nabla_E(curve, M.cover, vec) == reference_nabla_E(curve, M.cover, vec)
+                assert apply_nabla_D(curve, M.cover, vec, q) == reference_nabla_D(
+                    curve, M.cover, vec, q
+                )
+            if basis:
+                firsts.append(basis[0])
+        assert len(firsts) > 1
+        # Mixed-degree sums: consecutive pairs and the sum over all degrees.
+        mixed = [a + b for a, b in zip(firsts, firsts[1:])]
+        total = ModuleElement(curve.field, {})
+        for vec in firsts:
+            total = total + vec
+        for v in mixed + [total]:
+            assert homogeneous_components(curve, M.cover, v) == reference_components(
+                curve, M.cover, v
+            )
+            assert apply_nabla_E(curve, M.cover, v) == reference_nabla_E(curve, M.cover, v)
+            assert apply_nabla_D(curve, M.cover, v, q) == reference_nabla_D(curve, M.cover, v, q)
+
+
+def test_verify_properties_catches_an_image_outside_the_module():
+    curve = cusp_curve()
+    report = natural_connection(curve, unstable_cusp_module(curve))
+    assert report.path == "none"
+    report.path = "direct-stability"
+    with pytest.raises(ConsistencyError, match="nabla_D leaves the module"):
+        verify_properties(curve, report, samples=5)
+
+
+def test_verify_properties_catches_a_q_of_the_wrong_degree(monkeypatch):
+    curve = y_family_curve(3, 2)
+    report = natural_connection(curve, case1_module(curve, 3))
+    real = q_element(curve)
+    raised = QElement(real.coeffs, tuple(e + 1 for e in real.exps))
+    monkeypatch.setattr(connection, "q_element", lambda c: raised)
+    with pytest.raises(ConsistencyError, match="nabla_D does not raise degree"):
+        verify_properties(curve, report, samples=0)

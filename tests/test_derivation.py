@@ -6,10 +6,9 @@ import pytest
 
 from qhc.derivation import (
     DerivationOnA,
-    commutator_is_scaled_koszul,
+    QElement,
     euler,
     extend,
-    extension_applies,
     koszul,
     koszul_data,
     preserves_ideal,
@@ -24,6 +23,28 @@ from conftest import cusp_curve, rational_poly, y_family_curve
 
 def _t(exp, coeff=1):
     return UniPoly.monomial(QQ, QQ.from_rational(Fraction(coeff)), exp)
+
+
+def extension_applies(curve, P, ext, h):
+    """Defining property of the extension: n(P(h)) = ~P(n(h))."""
+    lhs = curve.normalization_image(P.apply(h))
+    rhs = ext.apply(curve.normalization_image(h))
+    return lhs == rhs
+
+
+def commutator_is_scaled_koszul(curve):
+    """[E, D] = (w_f - w_x - w_y) * D as derivations on A (checked mod f)."""
+    E = euler(curve)
+    D = koszul(curve)
+    lam = curve.wf - curve.wx - curve.wy
+    x = BiPoly.monomial(curve.field, curve.field.one(), 1, 0)
+    y = BiPoly.monomial(curve.field, curve.field.one(), 0, 1)
+    for coord, d_img in ((x, D.px), (y, D.py)):
+        comm = E.apply(D.apply(coord)) - D.apply(E.apply(coord))
+        diff = comm - d_img.scale(curve.field.from_rational(lam))
+        if any(curve.normalization_image(diff)):
+            return False
+    return True
 
 
 def test_euler_scales_coordinates_by_their_weights():
@@ -105,6 +126,22 @@ def test_q_element_weight_identity():
         lam = curve.wf - curve.wx - curve.wy
         for br, e in zip(curve.branches, q.exps):
             assert e * br.t_degree == lam
+
+
+def test_q_vector_is_built_once_and_left_out_of_equality():
+    curve = y_family_curve(3, 2)
+    q = q_element(curve)
+    qvec = q.as_vector(curve)
+    assert isinstance(qvec, tuple) and q.as_vector(curve) is qvec
+    assert list(qvec) == [
+        UniPoly.monomial(curve.field, c, e) for c, e in zip(q.coeffs, q.exps)
+    ]
+    again = QElement(q.coeffs, q.exps)
+    assert again == q and hash(again) == hash(q)
+    assert again.as_vector(curve) == qvec
+    assert "_vector" not in repr(q)
+    with pytest.raises(TypeError):
+        QElement(q.coeffs, q.exps, qvec)
 
 
 def test_q_times_x_lands_in_the_image():

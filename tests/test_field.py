@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qhc.catalog import Q_ZETA8, Q_ZETA12
 from qhc.errors import InputError
 from qhc.field import QQ, FieldElement, NumberField, element_from_json
 
@@ -99,3 +100,70 @@ def test_field_axioms_on_random_samples(fld):
             assert x * x.inv() == one
         assert x + (-x) == fld.zero()
         assert x * one == x
+
+
+def reference_mul(x, y):
+    """Schoolbook product of the coordinate vectors, reduced modulo min_poly."""
+    fld = x.field
+    d = fld.degree
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, a in enumerate(x.coords):
+        for j, b in enumerate(y.coords):
+            prod[i + j] += a * b
+    for k in range(2 * d - 2, d - 1, -1):
+        c, prod[k] = prod[k], Fraction(0)
+        for j in range(d):
+            prod[k - d + j] -= c * fld.min_poly[j]
+    return FieldElement(fld, tuple(prod[:d]))
+
+
+CATALOG_FIELDS = [QQ, Q_I, Q_ZETA8, Q_ZETA12]
+
+
+@pytest.mark.parametrize("fld", CATALOG_FIELDS)
+def test_products_match_the_schoolbook_reference(fld):
+    rng = random.Random(11)
+    zero = fld.zero()
+    for _ in range(200):
+        x, y = _random_element(rng, fld), _random_element(rng, fld)
+        r = fld.from_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        pairs = [(x, y), (r, x), (x, r), (r, r), (zero, x), (x, zero), (zero, zero)]
+        for a, b in pairs:
+            assert a * b == reference_mul(a, b)
+    if fld.degree > 1:
+        a = fld.generator()
+        assert a ** fld.degree == reference_mul(a ** (fld.degree - 1), a)
+
+
+@pytest.mark.parametrize("fld", CATALOG_FIELDS)
+def test_zero_and_one_are_prebuilt(fld):
+    assert fld.zero() is fld.zero()
+    assert fld.one() is fld.one()
+    assert fld.zero() == fld.from_rational(0)
+    assert fld.one() == fld.from_rational(1)
+    assert not fld.zero() and fld.one()
+
+
+def test_prebuilt_constants_leave_equality_and_hashing_unchanged():
+    again = NumberField((1, 0, 1))
+    assert again == Q_I and hash(again) == hash(Q_I)
+    assert again.zero() is not Q_I.zero()
+    assert again.one() == Q_I.one()
+    assert again != Q_ZETA8 and QQ != Q_I
+    assert {Q_I: 1}[again] == 1
+    assert repr(Q_I) == "NumberField(min_poly=(Fraction(1, 1), Fraction(0, 1), Fraction(1, 1)))"
+    # an equal field built separately multiplies with no complaint
+    assert again.generator() * Q_I.generator() == Q_I.from_rational(-1)
+
+
+def test_mixed_fields_are_rejected_on_every_product_path():
+    for x, y in (
+        (QQ.from_rational(2), Q_I.from_rational(3)),  # rational x rational
+        (QQ.from_rational(2), Q_I.generator()),  # degree 1 x degree 2
+        (Q_I.generator(), Q_ZETA8.generator()),  # irrational x irrational
+        (Q_I.from_rational(2), Q_ZETA12.generator()),  # rational x irrational
+    ):
+        with pytest.raises(InputError, match="mismatched field"):
+            x * y
+        with pytest.raises(InputError, match="mismatched field"):
+            y * x

@@ -65,6 +65,9 @@ def test_element_degree_and_components():
     comps = homogeneous_components(curve, cover, mixed)
     assert sorted(comps) == [0, 3]
     assert comps[0] + comps[3] == mixed
+    # a homogeneous element is its own single component; zero has none
+    assert homogeneous_components(curve, cover, v) == {3: v}
+    assert homogeneous_components(curve, cover, ModuleElement(QQ, {})) == {}
 
 
 def test_zero_generator_rejected():
