@@ -309,6 +309,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.max_degree is not None and args.max_degree < 0:
+            raise InputError("--max-degree must be nonnegative")
+        if args.samples < 0:
+            raise InputError("--samples must be nonnegative")
         return args.func(args)
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)

@@ -194,6 +194,8 @@ def verify_properties(
     """
     if not report.succeeded:
         raise InputError("cannot verify properties of a failed construction")
+    if samples < 0 or (degree_bound is not None and degree_bound < 0):
+        raise InputError("samples and degree_bound must be nonnegative")
     M = report.module
     if degree_bound is None:
         degree_bound = default_degree_bound(curve, M)

@@ -2,7 +2,8 @@
 
 Weight inference, factorization of f into axis and binomial branches,
 per-branch normalization maps into k[t_i], and exact graded membership
-in the image of the normalization.
+in the image of the normalization, decided by the graded module kernel
+(module.coordinate_ring, the cyclic module A*(1,...,1)).
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from . import linalg
 from .errors import ConsistencyError, InputError
 from .field import FieldElement, NumberField, as_fraction
-from .poly import BiPoly, UniPoly, monomials_of_weight
+from .poly import BiPoly, UniPoly
 
 
 class BranchKind(Enum):
@@ -148,27 +148,28 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
             acc = acc * r + c
         return acc
 
-    def deflate(cs, r):
-        # synthetic division by (x - r), exact by assumption
-        out = []
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * r + c
-            out.append(acc)
-        out.pop()  # remainder, zero
-        return list(reversed(out))
-
     work = [Fraction(c) for c in ints]
     for r in sorted(candidates, key=lambda q: (q.numerator, q.denominator)):
         if len(work) <= 1:
             break
         mult = 0
         while len(work) > 1 and eval_at(work, r) == 0:
-            work = deflate(work, r)
+            work = _deflate(work, r)
             mult += 1
         if mult:
             roots.append((r, mult))
     return sorted(roots, key=lambda t: (t[0].numerator, t[0].denominator))
+
+
+def _deflate(cs: List[Fraction], r: Fraction) -> List[Fraction]:
+    """Synthetic division of low-first coefficients by (x - r), exact by assumption."""
+    out = []
+    acc = Fraction(0)
+    for c in reversed(cs):
+        acc = acc * r + c
+        out.append(acc)
+    out.pop()  # remainder, zero
+    return list(reversed(out))
 
 
 def factor(
@@ -223,14 +224,7 @@ def factor(
         if total != s:
             residual = rat
             for r, _ in roots:
-                # deflate for the error message
-                out = []
-                acc = Fraction(0)
-                for c in reversed(residual):
-                    acc = acc * r + c
-                    out.append(acc)
-                out.pop()
-                residual = list(reversed(out))
+                residual = _deflate(residual, r)
             raise InputError(
                 "root not in field: %s"
                 % " + ".join(
@@ -277,6 +271,16 @@ def _order_branches(branches: List[Branch]) -> List[Branch]:
     return sorted(branches, key=key)
 
 
+def _branch_product(
+    branches: Sequence[Branch], field: NumberField, wx: int, wy: int
+) -> BiPoly:
+    """f_1 * ... * f_r, the product of the branch polynomials."""
+    prod = BiPoly.monomial(field, field.one(), 0, 0)
+    for br in branches:
+        prod = prod * br.poly(field, wx, wy)
+    return prod
+
+
 def _verify_product(
     f: BiPoly,
     unit: FieldElement,
@@ -285,10 +289,7 @@ def _verify_product(
     wx: int,
     wy: int,
 ) -> None:
-    prod = BiPoly.monomial(field, unit, 0, 0)
-    for br in branches:
-        prod = prod * br.poly(field, wx, wy)
-    if prod != f:
+    if _branch_product(branches, field, wx, wy).scale(unit) != f:
         raise ConsistencyError("branch product does not expand to f")
 
 
@@ -304,7 +305,7 @@ class QuasiCurve:
     # Per-curve memos, none of which takes part in equality or hashing:
     # monomial images keyed by (x-exp, y-exp), the powers [1, c, c^2, ...]
     # of each coefficient c of n_i(x), n_i(y), and values derived from the
-    # curve alone (derivation.q_element).
+    # curve alone (derivation.q_element, module.coordinate_ring).
     _images: dict = dc_field(default_factory=dict, compare=False, repr=False)
     _powers: dict = dc_field(default_factory=dict, compare=False, repr=False)
     _derived: dict = dc_field(default_factory=dict, compare=False, repr=False)
@@ -338,9 +339,7 @@ class QuasiCurve:
                 if key in seen:
                     raise InputError("not reduced")
                 seen.add(key)
-            prod = BiPoly.monomial(field, field.one(), 0, 0)
-            for br in blist:
-                prod = prod * br.poly(field, wx, wy)
+            prod = _branch_product(blist, field, wx, wy)
             lead = prod.terms[-1]
             unit = f.as_dict().get(lead[0])
             if unit is None:
@@ -415,36 +414,17 @@ class QuasiCurve:
 
         target has one UniPoly per branch, each zero or a monomial of
         degree w.  Returns the witness combination of monomials of k[x,y]
-        or None when the vector is not in the image of A.
+        or None when the vector is not in the image of A, as decided by
+        membership in module.coordinate_ring(self), the cyclic A*(1,...,1).
         """
         if not any(target):
             return []
-        rows = []  # (branch index, t-exponent) coordinates
-        for i, br in enumerate(self.branches):
-            if w % br.t_degree == 0 and w >= 0:
-                rows.append((i, w // br.t_degree))
-        row_index = {key: pos for pos, key in enumerate(rows)}
-        zero = self.field.zero()
-        rhs = [zero] * len(rows)
-        for i, p in enumerate(target):
-            for e, c in p.terms:
-                key = (i, e)
-                if key not in row_index:
-                    return None  # wrong degree: cannot be hit by degree-w piece
-                rhs[row_index[key]] = c
-        monos = monomials_of_weight(self.wx, self.wy, w)
-        cols = []
-        for a, b in monos:
-            img = self.monomial_image(a, b)
-            col = [zero] * len(rows)
-            for i, p in enumerate(img):
-                for e, c in p.terms:
-                    col[row_index[(i, e)]] = c
-            cols.append(col)
-        if not rows:
+        if any(e * br.t_degree != w
+               for br, p in zip(self.branches, target) for e, _ in p.terms):
             return None
-        matrix = [[cols[j][k] for j in range(len(cols))] for k in range(len(rows))]
-        sol = linalg.solve(matrix, rhs, self.field)
-        if sol is None:
-            return None
-        return [(monos[j], c) for j, c in enumerate(sol) if c]
+        # module imports this module, so the import waits until first use.
+        from .module import ModuleElement, coordinate_ring
+
+        v = ModuleElement(self.field, {(i, 0): p for i, p in enumerate(target)})
+        witness = coordinate_ring(self).contains(v)
+        return None if witness is None else [(ab, c) for _, ab, c in witness]

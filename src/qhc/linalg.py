@@ -2,8 +2,9 @@
 
 Matrices are lists of rows of FieldElement.  Everything is small and
 exact; no pivoting heuristics beyond first nonzero entry.  One routine,
-Elimination, reduces columns in order; solve, nullspace and
-independent_subset are built on it, and graded modules keep one per degree.
+Elimination, reduces columns in order; solve and independent_subset are
+built on it, and graded modules keep one per degree.  Left-nullspace
+certificates are the rows of Elimination.transform below rank.
 """
 
 from __future__ import annotations
@@ -55,26 +56,6 @@ def solve(
     for col, c in zip(pivots, coeffs):
         sol[col] = c
     return sol
-
-
-def nullspace(
-    matrix: List[List[FieldElement]], field: NumberField
-) -> List[List[FieldElement]]:
-    """Basis of the right nullspace, one vector per free column."""
-    columns = _columns(matrix)
-    elimination = Elimination(len(matrix), field)
-    pivots = _pivot_columns(elimination, columns)
-    basis = []
-    for free, col in enumerate(columns):
-        if free in pivots:
-            continue
-        reduced = elimination.apply(col)
-        vec = [field.zero()] * len(columns)
-        vec[free] = field.one()
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced[r]
-        basis.append(vec)
-    return basis
 
 
 def independent_subset(

@@ -4,7 +4,9 @@ A module is a graded submodule of k[t_1]^{s_1} x ... x k[t_r]^{s_r},
 given by homogeneous generators.  This module provides graded pieces,
 membership with explicit witnesses, the canonical (minimal-cover)
 embedding by graded column reduction, and the condition checkers
-(C1), (C2), (C3) that drive the connection construction.
+(C1), (C2), (C3) that drive the connection construction.  Every
+membership question of the package, including membership in the image
+of A (coordinate_ring), is answered by GradedSubmodule.contains.
 """
 
 from __future__ import annotations
@@ -340,19 +342,22 @@ class GradedSubmodule:
     def check_C1(self) -> Dict[Tuple[int, int], bool]:
         """(C1) as existence: some u in M_{f_ij} projects to exactly e_ij.
 
-        The branch-i projection of M_w is spanned by the projections of a
-        basis of M_w, so the system has one column per basis vector.
+        The branch-i projection of M is the submodule of the cover with the
+        other branches emptied, generated by the branch-i parts of the
+        generators; (C1) at (i, j) is membership of e_ij in it.
         """
-        field = self.curve.field
         out = {}
-        for i, j in self.cover.slots():
-            index, basis, _ = self._piece(self.cover.shifts[i][j])
-            rows = [pos for slot, pos in index.items() if slot[0] == i]
-            coords = [self._coords(elem, index) for _, _, elem in basis]
-            matrix = [[vec[pos] for vec in coords] for pos in rows]
-            rhs = [field.zero()] * len(rows)
-            rhs[rows.index(index[(i, j, 0)])] = field.one()
-            out[(i, j)] = bool(coords) and linalg.solve(matrix, rhs, field) is not None
+        for i, branch_shifts in enumerate(self.cover.shifts):
+            cover = FreeCover(tuple(
+                s if k == i else () for k, s in enumerate(self.cover.shifts)
+            ))
+            parts = [
+                ModuleElement(self.curve.field, {k: p for k, p in g.entries.items() if k[0] == i})
+                for g in self.generators
+            ]
+            projection = GradedSubmodule(self.curve, cover, [g for g in parts if g])
+            for j in range(len(branch_shifts)):
+                out[(i, j)] = projection.contains(basis_element(self.curve, i, j)) is not None
         return out
 
     def check_C2(self) -> Dict[Tuple[int, int], bool]:
@@ -384,3 +389,20 @@ class GradedSubmodule:
 
     def min_shift(self) -> int:
         return min((s for row in self.cover.shifts for s in row), default=0)
+
+
+def coordinate_ring(curve: QuasiCurve) -> GradedSubmodule:
+    """A as the cyclic module A*(1,...,1) on the cover ((0,),...,(0,)).
+
+    Built once per curve and kept on it, so each degree piece is
+    eliminated once; QuasiCurve.image_membership asks it.
+    """
+    ring = curve._derived.get("coordinate_ring")
+    if ring is None:
+        ones = ModuleElement(curve.field, {
+            (i, 0): UniPoly.monomial(curve.field, curve.field.one(), 0)
+            for i in range(curve.r)
+        })
+        ring = GradedSubmodule(curve, FreeCover(((0,),) * curve.r), [ones])
+        curve._derived["coordinate_ring"] = ring
+    return ring

@@ -2,8 +2,9 @@
 
 The shifted semigroup of branch i is computed two ways: the closed
 formula (shift + branch value semigroup, conductor (w_f-w_i)/d_i + c(A_i))
-and a brute-force membership oracle that decides t_i^gamma in A by exact
-linear algebra.  Tests keep the two routes in agreement.
+and a brute-force membership oracle that decides t_i^gamma in A by
+membership in the coordinate ring module A*(1,...,1), through the
+graded module kernel.  Tests keep the two routes in agreement.
 """
 
 from __future__ import annotations

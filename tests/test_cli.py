@@ -206,3 +206,19 @@ def test_module_terms_outside_the_cover_rejected(branch, index):
     )
     with pytest.raises(InputError, match="not a cover slot"):
         io.module_from_json(curve, spec)
+
+
+def test_cli_rejects_negative_bounds(tmp_path, capsys):
+    entry = catalog_get("Y_3_2")
+    curve = entry.curve()
+    cpath = _write(tmp_path, "curve.json", io.curve_to_json(curve))
+    module = fixture_modules(entry)[0].module(curve)
+    mpath = _write(tmp_path, "module.json", io.module_to_json(module))
+    connect = ["module", "--curve", cpath, "--module", mpath, "connect"]
+    for argv in (
+        ["curve", "--in", cpath, "semigroups", "--max-degree", "-5"],
+        connect + ["--max-degree", "-5"],
+        connect + ["--samples", "-3"],
+        ["selftest", "--samples", "-3"],
+    ):
+        _assert_clean_input_error(main(argv), capsys)

@@ -130,6 +130,9 @@ def test_verify_properties_counts_and_exactness():
     assert counts["graded"] > 0
     assert counts["integrable"] == counts["graded"]
     assert report.verification == counts
+    for bounds in ({"samples": -3}, {"degree_bound": -5}):
+        with pytest.raises(InputError, match="nonnegative"):
+            verify_properties(curve, report, **bounds)
 
 
 def test_verify_properties_is_seed_reproducible():

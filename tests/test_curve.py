@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qhc.catalog import ADE_LABELS, catalog_get
 from qhc.curve import (
     BranchKind,
     QuasiCurve,
@@ -13,11 +14,14 @@ from qhc.curve import (
     infer_weights,
     rational_roots,
 )
+from qhc.derivation import q_element
 from qhc.errors import InputError
 from qhc.field import QQ, NumberField
-from qhc.poly import BiPoly, UniPoly
+from qhc.poly import BiPoly, UniPoly, monomials_of_weight
+from qhc.semigroup import gamma_formula
 
 from conftest import cusp_curve, random_reduced_curve, rational_poly, y_family_curve
+from test_linalg import reference_solve
 
 
 def test_infer_weights_from_two_monomials():
@@ -153,8 +157,6 @@ def test_normalization_is_a_graded_ring_homomorphism(rng):
 
 
 def _random_homogeneous(rng, curve):
-    from qhc.poly import monomials_of_weight
-
     while True:
         w = rng.randint(0, 14)
         monos = monomials_of_weight(curve.wx, curve.wy, w)
@@ -196,6 +198,10 @@ def test_image_membership_zero_and_gap_targets():
     # t_1^1 alone has degree 3 but 1 is a gap of the first branch semigroup
     target = [UniPoly.monomial(QQ, QQ.one(), 1), UniPoly.zero(QQ)]
     assert curve.image_membership(target, 3) is None
+    # t_1^3 is in the image in its degree 9, and no vector of degree 8
+    target = [UniPoly.monomial(QQ, QQ.one(), 3), UniPoly.zero(QQ)]
+    assert curve.image_membership(target, 9) is not None
+    assert curve.image_membership(target, 8) is None
 
 
 def test_image_membership_witness_recombines(rng):
@@ -224,3 +230,77 @@ def test_extension_fields_require_explicit_branches():
     f = BiPoly.make(fld, {(2, 0): fld.one(), (0, 2): fld.one()})
     with pytest.raises(InputError, match="explicit branches"):
         factor(f, (1, 1), fld)
+
+
+# QuasiCurve.image_membership as it solved its own system before it asked
+# the coordinate ring module, kept as a reference.
+
+
+def reference_image_membership(curve, target, w):
+    if not any(target):
+        return []
+    rows = []  # (branch index, t-exponent) coordinates
+    for i, br in enumerate(curve.branches):
+        if w % br.t_degree == 0 and w >= 0:
+            rows.append((i, w // br.t_degree))
+    row_index = {key: pos for pos, key in enumerate(rows)}
+    zero = curve.field.zero()
+    rhs = [zero] * len(rows)
+    for i, p in enumerate(target):
+        for e, c in p.terms:
+            if (i, e) not in row_index:
+                return None
+            rhs[row_index[(i, e)]] = c
+    monos = monomials_of_weight(curve.wx, curve.wy, w)
+    cols = []
+    for a, b in monos:
+        col = [zero] * len(rows)
+        for i, p in enumerate(curve.monomial_image(a, b)):
+            for e, c in p.terms:
+                col[row_index[(i, e)]] = c
+        cols.append(col)
+    if not rows:
+        return None
+    matrix = [[cols[j][k] for j in range(len(cols))] for k in range(len(rows))]
+    sol = reference_solve(matrix, rhs, curve.field)[0]
+    if sol is None:
+        return None
+    return [(monos[j], c) for j, c in enumerate(sol) if c]
+
+
+def _membership_targets(curve, rng):
+    """(target, degree): t_i^gamma up to the conductor + 10, random n(h), q*n(x), q*n(y)."""
+    field = curve.field
+    for i, br in enumerate(curve.branches):
+        for gamma in range(gamma_formula(curve, i).conductor + 11):
+            target = [UniPoly.zero(field) for _ in curve.branches]
+            target[i] = UniPoly.monomial(field, field.one(), gamma)
+            yield target, gamma * br.t_degree
+    for _ in range(30):
+        w = rng.randint(0, 3 * curve.wf)
+        monos = monomials_of_weight(curve.wx, curve.wy, w)
+        if monos:
+            h = BiPoly.make(field, {
+                ab: field.from_rational(rng.randint(-3, 3) or 1)
+                for ab in rng.sample(monos, rng.randint(1, len(monos)))
+            })
+            yield curve.normalization_image(h), w
+    q = q_element(curve).as_vector(curve)
+    lam = curve.wf - curve.wx - curve.wy
+    for (a, b), wh in (((1, 0), curve.wx), ((0, 1), curve.wy)):
+        yield [qv * hv for qv, hv in zip(q, curve.monomial_image(a, b))], lam + wh
+
+
+@pytest.mark.parametrize("label", list(ADE_LABELS) + ["Y_3_2", "Y_5_3", "Y_5_4"])
+def test_image_membership_matches_the_reference(label):
+    curve = catalog_get(label).curve()
+    rng = random.Random(label)
+    members = outsiders = 0
+    for target, w in _membership_targets(curve, rng):
+        expected = reference_image_membership(curve, target, w)
+        assert curve.image_membership(target, w) == expected, (label, w, target)
+        if expected is None:
+            outsiders += 1
+        else:
+            members += 1
+    assert members and outsiders

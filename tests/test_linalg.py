@@ -41,18 +41,6 @@ def test_dimension_mismatch_rejected():
         linalg.solve(_m([[1]]), _v([1, 2]), QQ)
 
 
-def test_nullspace_of_rank_one_matrix():
-    basis = linalg.nullspace(_m([[1, 1]]), QQ)
-    assert len(basis) == 1
-    (vec,) = basis
-    assert vec[0] + vec[1] == QQ.zero()
-    assert any(vec)
-
-
-def test_nullspace_of_invertible_matrix_is_empty():
-    assert linalg.nullspace(_m([[1, 2], [3, 4]]), QQ) == []
-
-
 def test_independent_subset_greedy_order():
     vecs = _m([[1, 0], [2, 0], [0, 1], [1, 1]])
     assert linalg.independent_subset(vecs, QQ) == [0, 2]
@@ -75,7 +63,7 @@ def test_random_solutions_satisfy_the_system():
             assert acc == b
 
 
-# The elimination loops that solve, nullspace and independent_subset ran
+# The elimination loops that solve and independent_subset ran
 # before they were built on linalg.Elimination, kept as references.
 
 
@@ -108,21 +96,6 @@ def reference_solve(matrix, rhs, field):
     return sol, pivots, aug
 
 
-def reference_nullspace(matrix, field):
-    ncols = len(matrix[0]) if matrix else 0
-    _, pivots, aug = reference_solve(matrix, [field.zero()] * len(matrix), field)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [field.zero()] * ncols
-        vec[free] = field.one()
-        for r, col in enumerate(pivots):
-            vec[col] = -aug[r][free]
-        basis.append(vec)
-    return basis
-
-
 def reference_independent_subset(vectors, field):
     if not vectors:
         return []
@@ -149,7 +122,6 @@ def test_elimination_matches_the_reference_loops():
         matrix = _m([[rng.choice([0, 0, 1, -2, 3]) for _ in range(ncols)] for _ in range(nrows)])
         cols = [[row[c] for row in matrix] for c in range(ncols)]
         assert linalg.independent_subset(cols, QQ) == reference_independent_subset(cols, QQ)
-        assert linalg.nullspace(matrix, QQ) == reference_nullspace(matrix, QQ)
         member = [sum((c[r] for c in cols[:2]), QQ.zero()) for r in range(nrows)]
         for rhs in (_v([rng.randint(-2, 2) for _ in range(nrows)]), member):
             assert linalg.solve(matrix, rhs, QQ) == reference_solve(matrix, rhs, QQ)[0]

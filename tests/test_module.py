@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qhc.catalog import ADE_LABELS, catalog_get, fixture_modules
 from qhc.errors import InputError
 from qhc.field import QQ
 from qhc.module import (
@@ -17,6 +18,7 @@ from qhc.module import (
 from qhc.poly import UniPoly
 
 from conftest import cusp_curve, y_family_curve
+from test_linalg import reference_solve
 
 
 def _t(exp, coeff=1):
@@ -249,3 +251,31 @@ def test_graded_piece_monotone_under_extra_generators():
     )
     for w in range(0, 10):
         assert len(small.graded_piece(w)) <= len(big.graded_piece(w))
+
+
+# GradedSubmodule.check_C1 as it solved the branch-i projections of a basis
+# of M_{f_ij} before it asked the projection module, kept as a reference.
+
+
+def reference_check_C1(M):
+    field = M.curve.field
+    out = {}
+    for i, j in M.cover.slots():
+        index, basis, _ = M._piece(M.cover.shifts[i][j])
+        rows = [pos for slot, pos in index.items() if slot[0] == i]
+        coords = [M._coords(elem, index) for _, _, elem in basis]
+        matrix = [[vec[pos] for vec in coords] for pos in rows]
+        rhs = [field.zero()] * len(rows)
+        rhs[rows.index(index[(i, j, 0)])] = field.one()
+        out[(i, j)] = bool(coords) and reference_solve(matrix, rhs, field)[0] is not None
+    return out
+
+
+@pytest.mark.parametrize("label", list(ADE_LABELS) + ["Y_3_2", "Y_5_3", "Y_5_4"])
+def test_check_C1_matches_the_reference(label):
+    entry = catalog_get(label)
+    curve = entry.curve()
+    for fx in fixture_modules(entry):
+        M = fx.module(curve)
+        for module in (M, M.canonical_embedding()):
+            assert module.check_C1() == reference_check_C1(module), (label, fx.name)

@@ -1,0 +1,37 @@
+"""The bench tracer wraps qhc entry points by name; every name must exist.
+
+bench/tracing.py is loaded from its file and only read: a refactor that
+renames or deletes a traced function or method fails here instead of
+breaking ``bench/run.py --trace 1`` and ``bench/selfcheck.py``.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def _tracing():
+    # Compiled from the source text, so no bytecode is written under bench/.
+    module = types.ModuleType("bench_tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+tracing = _tracing()
+
+
+@pytest.mark.parametrize("layer, mod, name", tracing.FUNCTIONS)
+def test_traced_function_exists(layer, mod, name):
+    assert layer in tracing.LAYERS
+    assert callable(getattr(importlib.import_module("qhc." + mod), name))
+
+
+@pytest.mark.parametrize("layer, mod, cls, meth, span, hot", tracing.METHODS)
+def test_traced_method_exists(layer, mod, cls, meth, span, hot):
+    assert layer in tracing.LAYERS
+    owner = getattr(importlib.import_module("qhc." + mod), cls)
+    assert callable(getattr(owner, meth))
