@@ -1,15 +1,19 @@
 """Exact arithmetic in Q and in simple extensions Q[a]/(p).
 
 The coefficient field is either the rationals (min_poly of degree 1) or
-Q[a]/(p) for a monic rational polynomial p of degree d > 1, trusted to be
-irreducible.  Elements are coordinate vectors of length d over Fraction;
-all operations are exact and fully reduced modulo p.
+Q[a]/(p) for a monic rational polynomial p of degree d > 1, checked to be
+square-free and trusted to be irreducible.  An element stores its d
+coordinates in the power basis as integers over one positive common
+denominator, in lowest terms (gcd(den, *num) == 1, zero is (0,...,0)/1),
+so equality and hashing are structural; ``coords`` gives them back as
+Fractions.  All operations are exact and fully reduced modulo p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
@@ -29,6 +33,20 @@ def as_fraction(v: RationalLike) -> Fraction:
 
 def fraction_str(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
+
+
+def _ratio(v: RationalLike) -> tuple:
+    """(numerator, denominator) of a rational value; an int needs no Fraction."""
+    if isinstance(v, int):
+        return v, 1
+    v = as_fraction(v)
+    return v.numerator, v.denominator
+
+
+def _common_denominator(values: Sequence[Fraction]) -> tuple:
+    """Integer numerators over the least common denominator of the values."""
+    den = lcm(*(q.denominator for q in values))
+    return [q.numerator * (den // q.denominator) for q in values], den
 
 
 def _poly_divmod(num: list, den: list) -> tuple:
@@ -52,13 +70,16 @@ def _poly_divmod(num: list, den: list) -> tuple:
 class NumberField:
     """Q[a]/(min_poly); degree 1 means the base field is Q itself.
 
-    zero() and one() return one prebuilt element each; they take no part
-    in equality or hashing.
+    zero() and one() return one prebuilt element each.  ``_cleared`` holds
+    min_poly with its denominators cleared, as (D, D^(d-1), the nonzero
+    (j, P_j) with j < d) for P = D*min_poly in integers.  None of these
+    takes part in equality or hashing.
     """
 
     min_poly: tuple
     _zero: "FieldElement" = dc_field(init=False, compare=False, repr=False)
     _one: "FieldElement" = dc_field(init=False, compare=False, repr=False)
+    _cleared: tuple = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         coeffs = tuple(as_fraction(c) for c in self.min_poly)
@@ -66,7 +87,19 @@ class NumberField:
             raise InputError("min_poly must have degree >= 1")
         if coeffs[-1] != 1:
             raise InputError("min_poly must be monic")
+        d = len(coeffs) - 1
+        if d > 1:
+            # gcd(p, p') by Euclid: a common factor means a repeated root.
+            r0 = list(coeffs)
+            r1 = [c * k for k, c in enumerate(coeffs)][1:]
+            while r1:
+                r0, r1 = r1, _poly_divmod(r0, r1)[1]
+            if len(r0) > 1:
+                raise InputError("min_poly must be square-free")
+        P, D = _common_denominator(coeffs)
+        low = tuple((j, p) for j, p in enumerate(P[:-1]) if p)
         object.__setattr__(self, "min_poly", coeffs)
+        object.__setattr__(self, "_cleared", (D, D ** (d - 1), low))
         object.__setattr__(self, "_zero", self.from_rational(0))
         object.__setattr__(self, "_one", self.from_rational(1))
 
@@ -75,16 +108,11 @@ class NumberField:
         return len(self.min_poly) - 1
 
     def element(self, coords: Iterable[RationalLike]) -> "FieldElement":
-        vec = tuple(as_fraction(c) for c in coords)
-        if len(vec) != self.degree:
-            raise InputError(
-                "expected %d coordinates, got %d" % (self.degree, len(vec))
-            )
-        return FieldElement(self, vec)
+        return FieldElement(self, coords)
 
     def from_rational(self, v: RationalLike) -> "FieldElement":
-        coords = [as_fraction(v)] + [Fraction(0)] * (self.degree - 1)
-        return FieldElement(self, tuple(coords))
+        n, den = _ratio(v)
+        return _new(self, (n,) + (0,) * (self.degree - 1), den)
 
     def zero(self) -> "FieldElement":
         return self._zero
@@ -97,78 +125,149 @@ class NumberField:
         if self.degree == 1:
             # a = -min_poly[0] is the unique root of a degree-1 min_poly.
             return self.from_rational(-self.min_poly[0])
-        coords = [Fraction(0)] * self.degree
-        coords[1] = Fraction(1)
-        return FieldElement(self, tuple(coords))
+        return _new(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
-    def _reduce(self, coeffs: list) -> tuple:
-        """Reduce a coordinate list of length <= 2d-1 modulo min_poly."""
-        d = self.degree
-        coeffs = list(coeffs)
+    def _reduce(self, coeffs: list, den: int) -> "FieldElement":
+        """coeffs/den, integer coordinates of length <= 2d-1, modulo min_poly.
+
+        With P = D*min_poly, a^k = -a^(k-d)*(sum_j P_j a^j)/D.  Multiplying
+        by D^(d-1) first makes every top coefficient met on the way down
+        divisible by D, so the reduction stays in integers.
+        """
+        D, scale, low = self._cleared
+        d = len(self.min_poly) - 1
+        if scale != 1:
+            coeffs = [scale * c for c in coeffs]
+            den *= scale
         for k in range(len(coeffs) - 1, d - 1, -1):
-            c = coeffs[k]
+            c = coeffs[k] // D
             if c:
-                coeffs[k] = Fraction(0)
-                for j in range(d):
-                    coeffs[k - d + j] -= c * self.min_poly[j]
-        coeffs = coeffs[:d] + [Fraction(0)] * (d - len(coeffs))
-        return tuple(coeffs[:d])
+                for j, p in low:
+                    coeffs[k - d + j] -= c * p
+        del coeffs[d:]
+        coeffs += [0] * (d - len(coeffs))
+        return _make(self, coeffs, den)
 
 
-@dataclass(frozen=True)
+def _make(field: NumberField, num, den: int) -> "FieldElement":
+    """The element num/den for den > 0, brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _new(field, tuple(num), den)
+
+
 class FieldElement:
-    field: NumberField
-    coords: tuple
+    """num/den: integer coordinates over one positive common denominator.
+
+    ``FieldElement(field, coords)`` takes the d coordinates as rationals;
+    arithmetic builds its results in integers.  Instances are immutable.
+    """
+
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, coords: Iterable[RationalLike]):
+        vec = [as_fraction(c) for c in coords]
+        if len(vec) != field.degree:
+            raise InputError(
+                "expected %d coordinates, got %d" % (field.degree, len(vec))
+            )
+        num, den = _common_denominator(vec)
+        _set_field(self, field)
+        _set_num(self, tuple(num))
+        _set_den(self, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldElement is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FieldElement is immutable")
+
+    @property
+    def coords(self) -> tuple:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FieldElement:
+            return NotImplemented
+        return (
+            self.num == other.num
+            and self.den == other.den
+            and (self.field is other.field or self.field == other.field)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.num, self.den))
+
+    def __repr__(self) -> str:
+        return "FieldElement(field=%r, coords=%r)" % (self.field, self.coords)
 
     def _check(self, other: "FieldElement") -> None:
         if self.field is not other.field and self.field != other.field:
             raise InputError("mismatched field contexts")
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return any(self.num)
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        x, y, dx, dy = self.num, other.num, self.den, other.den
+        if len(x) == 1:
+            if dx == dy:
+                return _make(self.field, (x[0] + y[0],), dx)
+            return _make(self.field, (x[0] * dy + y[0] * dx,), dx * dy)
+        if dx == dy:
+            return _make(self.field, [a + b for a, b in zip(x, y)], dx)
+        return _make(self.field, [a * dy + b * dx for a, b in zip(x, y)], dx * dy)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(
-            self.field, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+        x, y, dx, dy = self.num, other.num, self.den, other.den
+        if len(x) == 1:
+            if dx == dy:
+                return _make(self.field, (x[0] - y[0],), dx)
+            return _make(self.field, (x[0] * dy - y[0] * dx,), dx * dy)
+        if dx == dy:
+            return _make(self.field, [a - b for a, b in zip(x, y)], dx)
+        return _make(self.field, [a * dy - b * dx for a, b in zip(x, y)], dx * dy)
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return _new(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        x, y = self.coords, other.coords
+        x, y = self.num, other.num
+        den = self.den * other.den
         if len(x) == 1:
-            return FieldElement(self.field, (x[0] * y[0],))
+            return _make(self.field, (x[0] * y[0],), den)
         # A rational factor scales the other's coordinates; nothing to reduce.
         if not any(y[1:]):
             x, y = y, x
         if not any(x[1:]):
             c = x[0]
-            return FieldElement(self.field, tuple(c * b for b in y))
+            return _make(self.field, [c * b for b in y], den)
         d = len(x)
-        prod = [Fraction(0)] * (2 * d - 1)
+        prod = [0] * (2 * d - 1)
         for i, a in enumerate(x):
             if not a:
                 continue
             for j, b in enumerate(y):
                 if b:
                     prod[i + j] += a * b
-        return FieldElement(self.field, self.field._reduce(prod))
+        return self.field._reduce(prod, den)
 
     def inv(self) -> "FieldElement":
         """Multiplicative inverse via extended Euclid on (self, min_poly)."""
         if not self:
             raise InputError("inversion of zero")
         if self.field.degree == 1:
-            return FieldElement(self.field, (1 / self.coords[0],))
+            n = self.num[0]
+            if n < 0:
+                return _new(self.field, (-self.den,), -n)
+            return _new(self.field, (self.den,), n)
         # Extended Euclid over Q[x]: s*a + t*p = gcd = constant.
         a = list(self.coords)
         while a and not a[-1]:
@@ -190,8 +289,7 @@ class FieldElement:
         if not r1:
             raise InputError("element is a zero divisor; min_poly not irreducible")
         c = r1[0]
-        inv_coeffs = [sc / c for sc in s1]
-        return FieldElement(self.field, self.field._reduce(inv_coeffs))
+        return self.field._reduce(*_common_denominator([sc / c for sc in s1]))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inv()
@@ -209,25 +307,26 @@ class FieldElement:
         return result
 
     def scale(self, q: RationalLike) -> "FieldElement":
-        q = as_fraction(q)
-        return FieldElement(self.field, tuple(q * c for c in self.coords))
+        n, den = _ratio(q)
+        return _make(self.field, [n * c for c in self.num], den * self.den)
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise InputError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def to_json(self) -> list:
         return [fraction_str(c) for c in self.coords]
 
     def __str__(self) -> str:
+        coords = self.coords
         if self.is_rational():
-            return str(self.coords[0])
+            return str(coords[0])
         parts = []
-        for i, c in enumerate(self.coords):
+        for i, c in enumerate(coords):
             if not c:
                 continue
             if i == 0:
@@ -237,6 +336,21 @@ class FieldElement:
             else:
                 parts.append("%s*a^%d" % (c, i))
         return " + ".join(parts) if parts else "0"
+
+
+# Slot setters that bypass the immutability guard of __setattr__.
+_set_field = FieldElement.field.__set__
+_set_num = FieldElement.num.__set__
+_set_den = FieldElement.den.__set__
+
+
+def _new(field: NumberField, num: tuple, den: int) -> FieldElement:
+    """num/den, already in lowest terms with den > 0."""
+    e = object.__new__(FieldElement)
+    _set_field(e, field)
+    _set_num(e, num)
+    _set_den(e, den)
+    return e
 
 
 def element_from_json(field: NumberField, data: Sequence) -> FieldElement:

@@ -61,7 +61,10 @@ class ModuleElement:
         return ModuleElement(self.field, out)
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        return self + other.scale(-self.field.one())
+        return self + (-other)
+
+    def __neg__(self) -> "ModuleElement":
+        return ModuleElement(self.field, {k: -v for k, v in self.entries.items()})
 
     def scale(self, c: FieldElement) -> "ModuleElement":
         return ModuleElement(self.field, {k: v.scale(c) for k, v in self.entries.items()})

@@ -56,7 +56,7 @@ class UniPoly:
     def __add__(self, other: "UniPoly") -> "UniPoly":
         out = self.as_dict()
         for e, c in other.terms:
-            out[e] = out.get(e, self.field.zero()) + c
+            out[e] = out[e] + c if e in out else c
         return UniPoly.make(self.field, out)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
@@ -71,7 +71,7 @@ class UniPoly:
             for e2, c2 in other.terms:
                 e = e1 + e2
                 p = c1 * c2
-                out[e] = out.get(e, self.field.zero()) + p
+                out[e] = out[e] + p if e in out else p
         return UniPoly.make(self.field, out)
 
     def scale(self, c: FieldElement) -> "UniPoly":
@@ -175,7 +175,7 @@ class BiPoly:
     def __add__(self, other: "BiPoly") -> "BiPoly":
         out = self.as_dict()
         for e, c in other.terms:
-            out[e] = out.get(e, self.field.zero()) + c
+            out[e] = out[e] + c if e in out else c
         return BiPoly.make(self.field, out)
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
@@ -189,7 +189,8 @@ class BiPoly:
         for (a1, b1), c1 in self.terms:
             for (a2, b2), c2 in other.terms:
                 key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, self.field.zero()) + c1 * c2
+                p = c1 * c2
+                out[key] = out[key] + p if key in out else p
         return BiPoly.make(self.field, out)
 
     def scale(self, c: FieldElement) -> "BiPoly":
@@ -258,7 +259,8 @@ class BiPoly:
                     "non-exact division: remainder %s" % BiPoly.make(self.field, rem)
                 )
             c = rem[e] / lc
-            quot[(qa, qb)] = quot.get((qa, qb), self.field.zero()) + c
+            q = (qa, qb)
+            quot[q] = quot[q] + c if q in quot else c
             for (oa, ob), oc in other.terms:
                 key = (qa + oa, qb + ob)
                 v = rem.get(key, self.field.zero()) - c * oc

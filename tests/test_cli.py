@@ -222,3 +222,15 @@ def test_cli_rejects_negative_bounds(tmp_path, capsys):
         ["selftest", "--samples", "-3"],
     ):
         _assert_clean_input_error(main(argv), capsys)
+
+
+def test_cli_rejects_a_min_poly_with_a_repeated_root(tmp_path, capsys):
+    # D_4 lives over Q(i); (a + 1)^2 keeps the coordinate count but is not
+    # square-free, so the spec fails before any branch is read.
+    spec = io.curve_to_json(catalog_get("D_4").curve())
+    spec["field"]["min_poly"] = ["1/1", "2/1", "1/1"]
+    path = _write(tmp_path, "curve.json", spec)
+    assert main(["curve", "--in", path, "info"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: min_poly must be square-free\n"

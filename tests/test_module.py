@@ -279,3 +279,15 @@ def test_check_C1_matches_the_reference(label):
         M = fx.module(curve)
         for module in (M, M.canonical_embedding()):
             assert module.check_C1() == reference_check_C1(module), (label, fx.name)
+
+
+def test_subtraction_negates_instead_of_scaling(rng):
+    one = QQ.one()
+    for _ in range(30):
+        a = _elem({(rng.randint(0, 1), 0): (rng.randint(-5, 5), rng.randint(0, 4)) for _ in range(3)})
+        b = _elem({(rng.randint(0, 1), 0): (rng.randint(-5, 5), rng.randint(0, 4)) for _ in range(3)})
+        assert a - b == a + b.scale(-one)
+        assert -b == b.scale(-one)
+        assert -(-a) == a
+        assert not (a - a)
+        assert (a - b) + b == a

@@ -35,3 +35,23 @@ def test_traced_method_exists(layer, mod, cls, meth, span, hot):
     assert layer in tracing.LAYERS
     owner = getattr(importlib.import_module("qhc." + mod), cls)
     assert callable(getattr(owner, meth))
+
+
+def test_traced_field_methods_are_defined_on_the_class():
+    # The tracer replaces FieldElement methods on the class; a method that
+    # moved to a helper or a base class would be wrapped in the wrong place
+    # and the per-layer field counts would silently change meaning.
+    from qhc.field import FieldElement
+
+    traced = [meth for _, mod, cls, meth, _, _ in tracing.METHODS if cls == "FieldElement"]
+    assert {"__mul__", "inv", "__add__", "__sub__", "__neg__", "scale"} <= set(traced)
+    for meth in traced:
+        assert meth in FieldElement.__dict__
+
+
+def test_field_degree_is_readable_from_an_element():
+    # field.mul_calls_ext reads args[0].field.degree on every traced product.
+    from qhc.field import QQ, FieldElement, NumberField
+
+    assert FieldElement(QQ, [1]).field.degree == 1
+    assert FieldElement(NumberField((1, 0, 1)), [0, 1]).field.degree == 2
