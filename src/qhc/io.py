@@ -112,9 +112,8 @@ def module_to_json(M: GradedSubmodule) -> Dict[str, Any]:
 
 def element_to_json(v: ModuleElement) -> List[Dict[str, Any]]:
     out = []
-    for (i, j), p in sorted(v.entries.items()):
-        for e, c in p.terms:
-            out.append({"branch": i + 1, "index": j + 1, "coeff": c.to_json(), "exp": e})
+    for (i, j, e), c in sorted(v.coeffs.items()):
+        out.append({"branch": i + 1, "index": j + 1, "coeff": c.to_json(), "exp": e})
     return out
 
 

@@ -7,6 +7,11 @@ embedding by graded column reduction, and the condition checkers
 (C1), (C2), (C3) that drive the connection construction.  Every
 membership question of the package, including membership in the image
 of A (coordinate_ring), is answered by GradedSubmodule.contains.
+
+A ModuleElement is a sparse vector over the cover coordinates
+(branch, slot, t-exponent), the same keys that index a degree piece, so
+sums, scalings, the action of a monomial image and the coordinates of a
+membership question are coefficient operations with no polynomial built.
 """
 
 from __future__ import annotations
@@ -41,47 +46,96 @@ class FreeCover:
         return FreeCover(tuple(tuple(s + lam for s in row) for row in self.shifts))
 
 
+def _of(field, coeffs: Dict[Tuple[int, int, int], FieldElement]) -> "ModuleElement":
+    """An element on coeffs as given: the caller guarantees no zero in it."""
+    v = object.__new__(ModuleElement)
+    v.field = field
+    v.coeffs = coeffs
+    return v
+
+
 class ModuleElement:
-    """Finite map (branch, slot) -> UniPoly inside a fixed cover."""
+    """Sparse vector over cover coordinates: (i, j, e) -> c is c t_i^e e_ij.
+
+    No zero is stored, so equality is structural; a product of nonzero
+    coefficients is nonzero (the field has no zero divisors).  The
+    constructor takes the (branch, slot) -> UniPoly map ``entries`` gives.
+    """
+
+    __slots__ = ("field", "coeffs")
 
     def __init__(self, field, entries: Dict[Tuple[int, int], UniPoly]):
         self.field = field
-        self.entries = {k: v for k, v in entries.items() if v}
+        self.coeffs = {
+            (i, j, e): c for (i, j), p in entries.items() for e, c in p.terms if c
+        }
+
+    @property
+    def entries(self) -> Dict[Tuple[int, int], UniPoly]:
+        """The (branch, slot) -> UniPoly view of the coefficients."""
+        slots: Dict[Tuple[int, int], Dict[int, FieldElement]] = {}
+        for (i, j, e), c in self.coeffs.items():
+            slots.setdefault((i, j), {})[e] = c
+        return {k: UniPoly.make(self.field, d) for k, d in slots.items()}
 
     def __bool__(self) -> bool:
-        return bool(self.entries)
+        return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ModuleElement) and self.entries == other.entries
+        return isinstance(other, ModuleElement) and self.coeffs == other.coeffs
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, UniPoly.zero(self.field)) + v
-        return ModuleElement(self.field, out)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            s = out[k] + c if k in out else c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return _of(self.field, out)
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         return self + (-other)
 
     def __neg__(self) -> "ModuleElement":
-        return ModuleElement(self.field, {k: -v for k, v in self.entries.items()})
+        return _of(self.field, {k: -c for k, c in self.coeffs.items()})
 
     def scale(self, c: FieldElement) -> "ModuleElement":
-        return ModuleElement(self.field, {k: v.scale(c) for k, v in self.entries.items()})
+        if not c:
+            return _of(self.field, {})
+        return _of(self.field, {k: c * v for k, v in self.coeffs.items()})
 
     def act(self, vec: Sequence[UniPoly]) -> "ModuleElement":
-        """Multiply by an element of the normalization, branch by branch."""
-        return ModuleElement(
-            self.field, {(i, j): vec[i] * p for (i, j), p in self.entries.items()}
-        )
+        """Multiply by an element of the normalization, branch by branch.
+
+        A branch image that is one monomial c_i t_i^{e_i} (every monomial
+        image, and n(h) for homogeneous h) moves each key by e_i and
+        multiplies by c_i; any other image is a convolution.
+        """
+        images = [p.terms for p in vec]
+        out: Dict[Tuple[int, int, int], FieldElement] = {}
+        convolved = False
+        for (i, j, e), c in self.coeffs.items():
+            terms = images[i]
+            if len(terms) == 1:
+                ((ei, ci),) = terms
+                out[(i, j, e + ei)] = ci * c
+            elif terms:
+                convolved = True
+                for ei, ci in terms:
+                    k = (i, j, e + ei)
+                    p = ci * c
+                    out[k] = out[k] + p if k in out else p
+        if convolved:
+            out = {k: c for k, c in out.items() if c}
+        return _of(self.field, out)
 
     def branch_projection(self, i: int, rank: int) -> List[UniPoly]:
-        return [
-            self.entries.get((i, j), UniPoly.zero(self.field)) for j in range(rank)
-        ]
+        entries = self.entries
+        return [entries.get((i, j), UniPoly.zero(self.field)) for j in range(rank)]
 
     def __str__(self) -> str:
-        if not self.entries:
+        if not self.coeffs:
             return "0"
         return " + ".join(
             "(%s)*e_%d%d" % (p, i + 1, j + 1)
@@ -90,42 +144,35 @@ class ModuleElement:
 
 
 def element_degrees(curve: QuasiCurve, cover: FreeCover, v: ModuleElement) -> frozenset:
-    degs = set()
-    for (i, j), p in v.entries.items():
-        d_i = curve.branches[i].t_degree
-        f_ij = cover.shifts[i][j]
-        for e, _ in p.terms:
-            degs.add(f_ij + e * d_i)
-    return frozenset(degs)
+    branches, shifts = curve.branches, cover.shifts
+    return frozenset(shifts[i][j] + e * branches[i].t_degree for i, j, e in v.coeffs)
 
 
 def element_degree(curve: QuasiCurve, cover: FreeCover, v: ModuleElement) -> Optional[int]:
     """Degree of a homogeneous element; None for zero; raises when mixed."""
-    degs = element_degrees(curve, cover, v)
-    if not degs:
-        return None
-    if len(degs) > 1:
-        raise InputError("element is not homogeneous: degrees %s" % sorted(degs))
-    return next(iter(degs))
+    branches, shifts = curve.branches, cover.shifts
+    w = None
+    for i, j, e in v.coeffs:
+        d = shifts[i][j] + e * branches[i].t_degree
+        if w is None:
+            w = d
+        elif d != w:
+            degs = element_degrees(curve, cover, v)
+            raise InputError("element is not homogeneous: degrees %s" % sorted(degs))
+    return w
 
 
 def homogeneous_components(
     curve: QuasiCurve, cover: FreeCover, v: ModuleElement
 ) -> Dict[int, ModuleElement]:
     """Components of v by degree; a homogeneous v is its own component."""
-    degs = element_degrees(curve, cover, v)
-    if len(degs) <= 1:
-        return {w: v for w in degs}
-    comps: Dict[int, Dict[Tuple[int, int], UniPoly]] = {}
-    for (i, j), p in v.entries.items():
-        d_i = curve.branches[i].t_degree
-        f_ij = cover.shifts[i][j]
-        for e, c in p.terms:
-            w = f_ij + e * d_i
-            slot = comps.setdefault(w, {})
-            mono = UniPoly.monomial(curve.field, c, e)
-            slot[(i, j)] = slot.get((i, j), UniPoly.zero(curve.field)) + mono
-    return {w: ModuleElement(curve.field, d) for w, d in sorted(comps.items())}
+    branches, shifts = curve.branches, cover.shifts
+    comps: Dict[int, Dict[Tuple[int, int, int], FieldElement]] = {}
+    for (i, j, e), c in v.coeffs.items():
+        comps.setdefault(shifts[i][j] + e * branches[i].t_degree, {})[(i, j, e)] = c
+    if len(comps) <= 1:
+        return {w: v for w in comps}
+    return {w: _of(v.field, d) for w, d in sorted(comps.items())}
 
 
 def basis_element(curve: QuasiCurve, i: int, j: int, exp: int = 0) -> ModuleElement:
@@ -189,12 +236,11 @@ class GradedSubmodule:
     ) -> List[FieldElement]:
         """Coordinates of a degree-w element in the slots indexed by index."""
         vec = [self.curve.field.zero()] * len(index)
-        for (i, j), p in v.entries.items():
-            for e, c in p.terms:
-                key = (i, j, e)
-                if key not in index:
-                    raise ConsistencyError("element leaves the degree piece")
-                vec[index[key]] = c
+        for key, c in v.coeffs.items():
+            pos = index.get(key)
+            if pos is None:
+                raise ConsistencyError("element leaves the degree piece")
+            vec[pos] = c
         return vec
 
     def _span_columns(self, w: int) -> Iterator[Tuple[int, Tuple[int, int], ModuleElement]]:
@@ -355,7 +401,7 @@ class GradedSubmodule:
                 s if k == i else () for k, s in enumerate(self.cover.shifts)
             ))
             parts = [
-                ModuleElement(self.curve.field, {k: p for k, p in g.entries.items() if k[0] == i})
+                _of(self.curve.field, {k: c for k, c in g.coeffs.items() if k[0] == i})
                 for g in self.generators
             ]
             projection = GradedSubmodule(self.curve, cover, [g for g in parts if g])

@@ -75,11 +75,10 @@ class UniPoly:
         return UniPoly.make(self.field, out)
 
     def scale(self, c: FieldElement) -> "UniPoly":
-        return UniPoly.make(self.field, {e: c * v for e, v in self.terms})
-
-    def shift_exp(self, k: int) -> "UniPoly":
-        """Multiply by t^k."""
-        return UniPoly.make(self.field, {e + k: c for e, c in self.terms})
+        # A nonzero constant keeps the terms sorted and nonzero.
+        if not c:
+            return UniPoly.zero(self.field)
+        return UniPoly(self.field, tuple((e, c * v) for e, v in self.terms))
 
     def __pow__(self, n: int) -> "UniPoly":
         result = UniPoly.monomial(self.field, self.field.one(), 0)

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from qhc.catalog import ADE_LABELS, catalog_get, fixture_modules
+from qhc.connection import apply_nabla_D, apply_nabla_E
+from qhc.derivation import q_element
 from qhc.errors import InputError
 from qhc.field import QQ
 from qhc.module import (
@@ -13,9 +15,10 @@ from qhc.module import (
     ModuleElement,
     basis_element,
     element_degree,
+    element_degrees,
     homogeneous_components,
 )
-from qhc.poly import UniPoly
+from qhc.poly import BiPoly, UniPoly
 
 from conftest import cusp_curve, y_family_curve
 from test_linalg import reference_solve
@@ -291,3 +294,202 @@ def test_subtraction_negates_instead_of_scaling(rng):
         assert -(-a) == a
         assert not (a - a)
         assert (a - b) + b == a
+
+
+# ModuleElement as it was stored before the flat cover coordinates, a
+# (branch, slot) -> UniPoly map with UniPoly arithmetic, kept as a reference.
+
+
+class ReferenceElement:
+    def __init__(self, field, entries):
+        self.field = field
+        self.entries = {k: v for k, v in entries.items() if v}
+
+    def __eq__(self, other):
+        return isinstance(other, ReferenceElement) and self.entries == other.entries
+
+    def __add__(self, other):
+        out = dict(self.entries)
+        for k, v in other.entries.items():
+            out[k] = out.get(k, UniPoly.zero(self.field)) + v
+        return ReferenceElement(self.field, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return ReferenceElement(self.field, {k: -v for k, v in self.entries.items()})
+
+    def scale(self, c):
+        return ReferenceElement(
+            self.field, {k: UniPoly.make(self.field, {e: c * x for e, x in v.terms})
+                         for k, v in self.entries.items()}
+        )
+
+    def act(self, vec):
+        return ReferenceElement(
+            self.field, {(i, j): vec[i] * p for (i, j), p in self.entries.items()}
+        )
+
+    def __str__(self):
+        if not self.entries:
+            return "0"
+        return " + ".join(
+            "(%s)*e_%d%d" % (p, i + 1, j + 1)
+            for (i, j), p in sorted(self.entries.items())
+        )
+
+
+def reference_degrees(curve, cover, v):
+    return frozenset(
+        cover.shifts[i][j] + e * curve.branches[i].t_degree
+        for (i, j), p in v.entries.items() for e, _ in p.terms
+    )
+
+
+def reference_components(curve, cover, v):
+    comps = {}
+    for (i, j), p in v.entries.items():
+        for e, c in p.terms:
+            w = cover.shifts[i][j] + e * curve.branches[i].t_degree
+            slot = comps.setdefault(w, {})
+            mono = UniPoly.monomial(curve.field, c, e)
+            slot[(i, j)] = slot.get((i, j), UniPoly.zero(curve.field)) + mono
+    return {w: ReferenceElement(curve.field, d) for w, d in sorted(comps.items())}
+
+
+def _as_reference(v):
+    return ReferenceElement(v.field, v.entries)
+
+
+def _assert_matches(v, ref):
+    assert isinstance(v, ModuleElement)
+    assert all(v.coeffs.values()), "a zero coefficient is stored"
+    assert v.entries == ref.entries
+    assert str(v) == str(ref)
+    assert bool(v) == bool(ref.entries)
+
+
+def _random_scalar(rng, field):
+    return field.element([rng.randint(-3, 3) for _ in range(field.degree)])
+
+
+def _random_homogeneous(rng, M, w):
+    """A nonzero random combination of the basis of a nonempty M_w."""
+    field = M.curve.field
+    basis = M.graded_piece(w)
+    while True:
+        out = ModuleElement(field, {})
+        for vec in basis:
+            out = out + vec.scale(_random_scalar(rng, field))
+        if out:
+            return out
+
+
+# D_4 is over Q(i), E_6 over Q(zeta8), Y_5_3 over Q.
+DIFFERENTIAL_LABELS = ["D_4", "E_6", "Y_5_3"]
+
+
+@pytest.mark.parametrize("label", DIFFERENTIAL_LABELS)
+def test_flat_coordinates_match_the_unipoly_reference(label, rng):
+    entry = catalog_get(label)
+    curve = entry.curve()
+    field = curve.field
+    x_plus_y_plus_one = BiPoly.make(field, {(0, 0): field.one(), (1, 0): field.one(), (0, 1): field.one()})
+    general = curve.normalization_image(x_plus_y_plus_one)
+    assert any(len(p.terms) > 1 for p in general)
+    for fx in fixture_modules(entry):
+        for M in (fx.module(curve), fx.module(curve).canonical_embedding()):
+            cover = M.cover
+            degrees = [w for w in range(M.min_shift(), M.min_shift() + 12) if M.graded_piece(w)]
+            assert len(degrees) > 1
+            for _ in range(12):
+                wa, wb = rng.sample(degrees, 2)
+                a = _random_homogeneous(rng, M, wa)
+                b = _random_homogeneous(rng, M, rng.choice(degrees))
+                mixed = a + _random_homogeneous(rng, M, wb)
+                assert len(element_degrees(curve, cover, mixed)) == 2
+                for v in (a, b, mixed):
+                    assert ModuleElement(field, v.entries) == v
+                    _assert_matches(v, _as_reference(v))
+                ra, rb, rm = _as_reference(a), _as_reference(b), _as_reference(mixed)
+                c = _random_scalar(rng, field)
+                _assert_matches(a + b, ra + rb)
+                _assert_matches(mixed + a, rm + ra)
+                _assert_matches(a - b, ra - rb)
+                _assert_matches(mixed - b, rm - rb)
+                _assert_matches(-mixed, -rm)
+                _assert_matches(mixed.scale(c), rm.scale(c))
+                _assert_matches(a.scale(field.zero()), ra.scale(field.zero()))
+                assert not a.scale(field.zero()).coeffs
+                xe, ye = rng.randint(0, 3), rng.randint(0, 3)
+                mono = curve.monomial_image(xe, ye)
+                _assert_matches(mixed.act(mono), rm.act(mono))
+                _assert_matches(a.act(general), ra.act(general))
+                _assert_matches(mixed.act(general), rm.act(general))
+                assert (a == b) == (ra == rb)
+                assert (a == mixed) == (ra == rm)
+                assert a == a.scale(field.one())
+                for v, rv in ((a, ra), (mixed, rm)):
+                    assert element_degrees(curve, cover, v) == reference_degrees(curve, cover, rv)
+                    comps = homogeneous_components(curve, cover, v)
+                    ref = reference_components(curve, cover, rv)
+                    assert list(comps) == list(ref)
+                    for w in comps:
+                        _assert_matches(comps[w], ref[w])
+                assert homogeneous_components(curve, cover, a) == {element_degree(curve, cover, a): a}
+
+
+def test_no_zero_coefficient_survives_cancellation():
+    curve = y_family_curve(3, 2)
+    one = QQ.one()
+    v = ModuleElement(QQ, {(0, 0): _t(0) + _t(1), (1, 0): _t(2)})
+    assert not (v + (-v)).coeffs and not (v - v).coeffs
+    w = ModuleElement(QQ, {(0, 0): _t(1, -1)})
+    assert (v + w).coeffs == {(0, 0, 0): one, (1, 0, 2): one}
+    assert (v - ModuleElement(QQ, {(1, 0): _t(2)})).coeffs == {(0, 0, 0): one, (0, 0, 1): one}
+    # (1 + t) * (1 - t) = 1 - t^2: the t term cancels in the convolution.
+    image = [_t(0) - _t(1), _t(0) + _t(3)]
+    prod = v.act(image)
+    assert prod.coeffs == {(0, 0, 0): one, (0, 0, 2): -one, (1, 0, 2): one, (1, 0, 5): one}
+    assert prod.entries == ReferenceElement(QQ, v.entries).act(image).entries
+    # A zero branch image empties that branch.
+    assert v.act([UniPoly.zero(QQ), _t(1)]).coeffs == {(1, 0, 3): one}
+    # The constructor drops zero polynomials.
+    assert ModuleElement(QQ, {(0, 0): UniPoly.zero(QQ)}).coeffs == {}
+    assert not homogeneous_components(curve, FreeCover(((0,), (0,))), v + (-v))
+
+
+def test_entries_is_a_read_only_view():
+    v = _elem({(0, 0): (2, 1), (1, 0): (1, 0)})
+    assert v.entries == {(0, 0): _t(1, 2), (1, 0): _t(0)}
+    v.entries[(0, 0)] = _t(5)
+    assert v.entries[(0, 0)] == _t(1, 2)
+    with pytest.raises(AttributeError):
+        v.entries = {}
+    with pytest.raises(AttributeError):
+        v.degree = 3
+
+
+@pytest.mark.parametrize(
+    "make_curve", [lambda: y_family_curve(3, 2), lambda: catalog_get("D_4").curve()],
+    ids=["QQ", "Qi"],
+)
+def test_nabla_of_zero_and_of_degree_zero_is_zero(make_curve):
+    curve = make_curve()
+    field = curve.field
+    cover = FreeCover(tuple((0,) for _ in range(curve.r)))
+    q = q_element(curve)
+    zero = ModuleElement(field, {})
+    degree_zero = ModuleElement(field, {
+        (i, 0): UniPoly.monomial(field, field.from_rational(i + 1), 0) for i in range(curve.r)
+    })
+    assert element_degree(curve, cover, degree_zero) == 0
+    for v in (zero, degree_zero):
+        assert apply_nabla_E(curve, cover, v) == zero
+        assert apply_nabla_D(curve, cover, v, q) == zero
+        assert not apply_nabla_D(curve, cover, v, q).coeffs
+    # A degree-0 component of a mixed element is dropped, the rest is scaled.
+    t1 = basis_element(curve, 0, 0, 1)
+    w1 = element_degree(curve, cover, t1)
+    assert apply_nabla_E(curve, cover, degree_zero + t1) == t1.scale(field.from_rational(w1))

@@ -143,3 +143,20 @@ def test_canonical_representation_drops_zeros():
     q = rational_poly(QQ, {(1, 0): -1})
     assert not (p + q)
     assert (p + q) == BiPoly.zero(QQ)
+
+
+def test_scale_keeps_terms_and_zero_gives_zero():
+    from qhc.field import NumberField
+
+    rng = random.Random(7)
+    for field in (QQ, NumberField((1, 0, 1))):
+        for _ in range(20):
+            p = UniPoly.make(field, {
+                rng.randint(0, 6): field.element([rng.randint(-3, 3) for _ in range(field.degree)])
+                for _ in range(4)
+            })
+            c = field.element([rng.randint(-3, 3) for _ in range(field.degree)])
+            scaled = p.scale(c)
+            assert scaled == UniPoly.make(field, {e: c * v for e, v in p.terms})
+            assert all(v for _, v in scaled.terms)
+            assert p.scale(field.zero()) == UniPoly.zero(field)

@@ -55,3 +55,25 @@ def test_field_degree_is_readable_from_an_element():
 
     assert FieldElement(QQ, [1]).field.degree == 1
     assert FieldElement(NumberField((1, 0, 1)), [0, 1]).field.degree == 2
+
+
+def test_contains_observer_reads_the_element_degree():
+    # Tracer._on_contains calls qhc.module.element_degree(M.curve, M.cover, v)
+    # for module.degree_queries; its name, parameters and value must hold.
+    import inspect
+
+    from qhc import module
+    from qhc.catalog import catalog_get, fixture_modules
+
+    assert list(inspect.signature(module.element_degree).parameters) == ["curve", "cover", "v"]
+    entry = catalog_get("Y_3_2")
+    curve = entry.curve()
+    M = fixture_modules(entry)[0].module(curve)
+    assert [module.element_degree(M.curve, M.cover, g) for g in M.generators] == M.weights
+    tracer = tracing.Tracer()
+    tracer._q = types.SimpleNamespace(module=module)
+    for g in M.generators:
+        tracer._on_contains((M, g), M.contains(g))
+    assert tracer.extra["module.contains_hits"] == len(M.generators)
+    assert tracer.extra["module.degree_queries"] == len(M.generators)
+    assert tracer.extra["module.degree_queries_distinct"] == len(set(M.weights))
