@@ -256,7 +256,7 @@ def verify_properties(
                 wd = element_degree(curve, M.cover, nd)
                 if wd != w + lam:
                     raise ConsistencyError("nabla_D does not raise degree by %d" % lam)
-                if M.contains(nd) is None:
+                if not M.is_member(nd):
                     raise ConsistencyError(
                         "nabla_D leaves the module on a degree-%d basis vector" % w
                     )

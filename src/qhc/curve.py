@@ -417,14 +417,23 @@ class QuasiCurve:
         or None when the vector is not in the image of A, as decided by
         membership in module.coordinate_ring(self), the cyclic A*(1,...,1).
         """
-        if not any(target):
-            return []
-        if any(e * br.t_degree != w
-               for br, p in zip(self.branches, target) for e, _ in p.terms):
-            return None
+        ring, v = self._ring_element(target, w)
+        witness = None if v is None else ring.contains(v)
+        return None if witness is None else [(ab, c) for _, ab, c in witness]
+
+    def in_image(self, target: Sequence[UniPoly], w: int) -> bool:
+        """image_membership(target, w) is not None, without the witness."""
+        ring, v = self._ring_element(target, w)
+        return v is not None and ring.is_member(v)
+
+    def _ring_element(self, target: Sequence[UniPoly], w: int):
+        """coordinate_ring(self) and target as an element of its cover, or
+        None for the element when a term of target is not of degree w."""
         # module imports this module, so the import waits until first use.
         from .module import ModuleElement, coordinate_ring
 
-        v = ModuleElement(self.field, {(i, 0): p for i, p in enumerate(target)})
-        witness = coordinate_ring(self).contains(v)
-        return None if witness is None else [(ab, c) for _, ab, c in witness]
+        ring = coordinate_ring(self)
+        if any(e * br.t_degree != w
+               for br, p in zip(self.branches, target) for e, _ in p.terms):
+            return ring, None
+        return ring, ModuleElement(self.field, {(i, 0): p for i, p in enumerate(target)})

@@ -177,6 +177,6 @@ def _compute_q(curve: QuasiCurve) -> QElement:
     lam = curve.wf - curve.wx - curve.wy
     for h, wh in ((curve.monomial_image(1, 0), curve.wx), (curve.monomial_image(0, 1), curve.wy)):
         prod = [qv * hv for qv, hv in zip(qvec, h)]
-        if curve.image_membership(prod, lam + wh) is None:
+        if not curve.in_image(prod, lam + wh):
             raise ConsistencyError("q*m does not land in A")
     return q

@@ -200,7 +200,8 @@ class FieldElement:
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.num, self.den))
+        # Equal elements share their field, so it need not be hashed.
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return "FieldElement(field=%r, coords=%r)" % (self.field, self.coords)

@@ -3,8 +3,11 @@
 Matrices are lists of rows of FieldElement.  Everything is small and
 exact; no pivoting heuristics beyond first nonzero entry.  One routine,
 Elimination, reduces columns in order; solve and independent_subset are
-built on it, and graded modules keep one per degree.  Left-nullspace
-certificates are the rows of Elimination.transform below rank.
+built on it, and graded modules keep one per degree.  Yes/no membership
+(in_span) reads an echelon of the kept columns and needs no inverse; a
+solution needs the row transform, built from the kept columns on first
+use.  Left-nullspace certificates are the rows, below rank, of
+Elimination.transform once it is built.
 """
 
 from __future__ import annotations
@@ -68,40 +71,92 @@ def independent_subset(
 
 
 class Elimination:
-    """Gauss-Jordan elimination of a matrix fed column by column, kept for reuse.
+    """Column elimination of a matrix fed column by column, kept for reuse.
 
-    Each added column is reduced by the row operations so far; its pivot
-    is its first nonzero entry at or below the current pivot row.  Only
-    the row transform T is stored, with T * A = RREF(A) for the columns
-    added so far, so the pivot columns are the greedy independent choice.
-    Applying T to a right-hand side b decides b in span(A) and gives the
+    add keeps a column when it is independent of the columns kept so far,
+    so the kept columns are the greedy independent choice, and keeps it
+    reduced against the earlier ones in an echelon: fraction-free, as
+    lead * v - v[p] * e, so add needs no inverse.  in_span decides
+    membership in the span from that echelon, at once when the rank is
+    full.  The Gauss-Jordan row transform T, with T * A = RREF(A) for the
+    columns added so far, is built from the kept columns on the first
+    solve (or read of transform) and extended after later adds.  Applying
+    T to a right-hand side b decides b in span(A) and gives the
     coefficients on the pivot columns of the solution whose free
     variables are zero, which is unique.
     """
 
     def __init__(self, nrows: int, field: NumberField):
+        self.nrows = nrows
         # Entries of T that are still the identity's one are this object,
-        # so apply and add can skip multiplying by them.
+        # so _apply and the transform step can skip multiplying by them.
         self._one = field.one()
         self._zero = field.zero()
-        self.transform = [
-            [self._one if r == k else self._zero for k in range(nrows)]
-            for r in range(nrows)
-        ]
-        self.rank = 0
+        self._kept: List[List[FieldElement]] = []  # the kept columns, as given
+        # Per kept column: its pivot row, its reduced vector and the entry
+        # there (None when it is one).
+        self._echelon: List[tuple] = []
+        self._transform: Optional[List[List[FieldElement]]] = None
+        self._transform_rank = 0
+
+    @property
+    def rank(self) -> int:
+        return len(self._kept)
 
     @property
     def full(self) -> bool:
-        return self.rank == len(self.transform)
+        return self.rank == self.nrows
+
+    def _reduce(self, vec: List[FieldElement]) -> List[FieldElement]:
+        """vec reduced against the echelon: zero exactly when in the span."""
+        v = list(vec)
+        for p, e, lead in self._echelon:
+            x = v[p]
+            if not x:
+                continue
+            if lead is not None:
+                v = [lead * a if a else a for a in v]
+            for r, b in enumerate(e):
+                if b:
+                    term = x * b
+                    v[r] = v[r] - term if v[r] else -term
+        return v
 
     def add(self, col: List[FieldElement]) -> bool:
-        """Eliminate one more column; True when it adds a pivot."""
-        t = self.transform
-        prow = self.rank
-        v = self.apply(col)
-        pivot = next((r for r in range(prow, len(t)) if v[r]), None)
+        """Keep one more column when it adds a pivot; True when it does."""
+        if self.full:
+            return False
+        v = self._reduce(col)
+        pivot = next((r for r, x in enumerate(v) if x), None)
         if pivot is None:
             return False
+        lead = v[pivot]
+        self._echelon.append((pivot, v, None if lead == self._one else lead))
+        self._kept.append(col)
+        return True
+
+    def in_span(self, vec: List[FieldElement]) -> bool:
+        """Whether vec is a combination of the columns added so far."""
+        return self.full or not any(self._reduce(vec))
+
+    @property
+    def transform(self) -> List[List[FieldElement]]:
+        """T with T * A = RREF(A); its rows below rank vanish on A."""
+        if self._transform is None:
+            self._transform = [
+                [self._one if r == k else self._zero for k in range(self.nrows)]
+                for r in range(self.nrows)
+            ]
+        while self._transform_rank < self.rank:
+            self._transform_step(self._kept[self._transform_rank])
+        return self._transform
+
+    def _transform_step(self, col: List[FieldElement]) -> None:
+        """One Gauss-Jordan pivot of T on a kept column."""
+        t = self._transform
+        prow = self._transform_rank
+        v = self._apply(t, col)
+        pivot = next(r for r in range(prow, len(t)) if v[r])
         t[prow], t[pivot] = t[pivot], t[prow]
         v[prow], v[pivot] = v[pivot], v[prow]
         if v[prow] != self._one:
@@ -110,18 +165,17 @@ class Elimination:
         for r, factor in enumerate(v):
             if r != prow and factor:
                 t[r] = [a - self._times(factor, b) if b else a for a, b in zip(t[r], t[prow])]
-        self.rank += 1
-        return True
+        self._transform_rank += 1
 
     def _times(self, x: FieldElement, entry: FieldElement) -> FieldElement:
         return x if entry is self._one else x * entry
 
-    def apply(self, vec: List[FieldElement]) -> List[FieldElement]:
-        """T * vec."""
-        out = [self._zero] * len(self.transform)
+    def _apply(self, t, vec: List[FieldElement]) -> List[FieldElement]:
+        """t * vec."""
+        out = [self._zero] * len(t)
         for k, x in enumerate(vec):
             if x:
-                for r, row in enumerate(self.transform):
+                for r, row in enumerate(t):
                     if row[k]:
                         term = self._times(x, row[k])
                         out[r] = out[r] + term if out[r] else term
@@ -129,7 +183,7 @@ class Elimination:
 
     def solve(self, rhs: List[FieldElement]) -> Optional[List[FieldElement]]:
         """Coefficients on the pivot columns of the unique solution, or None."""
-        y = self.apply(rhs)
+        y = self._apply(self.transform, rhs)
         if any(y[self.rank:]):
             return None
         return y[:self.rank]

@@ -6,7 +6,10 @@ membership with explicit witnesses, the canonical (minimal-cover)
 embedding by graded column reduction, and the condition checkers
 (C1), (C2), (C3) that drive the connection construction.  Every
 membership question of the package, including membership in the image
-of A (coordinate_ring), is answered by GradedSubmodule.contains.
+of A (coordinate_ring), is answered from one kept elimination per degree
+piece: GradedSubmodule.is_member says yes or no (at once on a piece of
+full rank), and GradedSubmodule.contains also returns the witness, which
+only the stability check of the connection and image_membership ask for.
 
 A ModuleElement is a sparse vector over the cover coordinates
 (branch, slot, t-exponent), the same keys that index a degree piece, so
@@ -273,6 +276,14 @@ class GradedSubmodule:
         """A basis of M_w (subset of the canonical generating family)."""
         return [elem for _, _, elem in self._piece(w)[1]]
 
+    def is_member(self, v: ModuleElement) -> bool:
+        """Whether a homogeneous element lies in M: contains(v) is not None,
+        decided without solving for the witness."""
+        if not v:
+            return True
+        index, _, elimination = self._piece(element_degree(self.curve, self.cover, v))
+        return elimination.in_span(self._coords(v, index))
+
     def contains(self, v: ModuleElement) -> Optional[Witness]:
         """Membership of a homogeneous element, with an explicit witness.
 
@@ -397,17 +408,21 @@ class GradedSubmodule:
         """
         out = {}
         for i, branch_shifts in enumerate(self.cover.shifts):
-            cover = FreeCover(tuple(
-                s if k == i else () for k, s in enumerate(self.cover.shifts)
-            ))
-            parts = [
-                _of(self.curve.field, {k: c for k, c in g.coeffs.items() if k[0] == i})
-                for g in self.generators
-            ]
-            projection = GradedSubmodule(self.curve, cover, [g for g in parts if g])
+            projection = self.projection(i)
             for j in range(len(branch_shifts)):
-                out[(i, j)] = projection.contains(basis_element(self.curve, i, j)) is not None
+                out[(i, j)] = projection.is_member(basis_element(self.curve, i, j))
         return out
+
+    def projection(self, i: int) -> "GradedSubmodule":
+        """The branch-i projection of M, on the cover with the other branches emptied."""
+        cover = FreeCover(tuple(
+            s if k == i else () for k, s in enumerate(self.cover.shifts)
+        ))
+        parts = [
+            _of(self.curve.field, {k: c for k, c in g.coeffs.items() if k[0] == i})
+            for g in self.generators
+        ]
+        return GradedSubmodule(self.curve, cover, [g for g in parts if g])
 
     def check_C2(self) -> Dict[Tuple[int, int], bool]:
         """(C2): t_i^{g_i} e_ij in M for every cover slot."""
@@ -418,7 +433,7 @@ class GradedSubmodule:
             if g < 0:
                 raise InputError("(C2) undefined: branch %d has negative Frobenius" % (i + 1))
             target = basis_element(self.curve, i, j, g)
-            out[(i, j)] = self.contains(target) is not None
+            out[(i, j)] = self.is_member(target)
         return out
 
     def check_C3(self) -> Tuple[bool, Optional[int]]:
@@ -444,7 +459,7 @@ def coordinate_ring(curve: QuasiCurve) -> GradedSubmodule:
     """A as the cyclic module A*(1,...,1) on the cover ((0,),...,(0,)).
 
     Built once per curve and kept on it, so each degree piece is
-    eliminated once; QuasiCurve.image_membership asks it.
+    eliminated once; QuasiCurve.in_image and image_membership ask it.
     """
     ring = curve._derived.get("coordinate_ring")
     if ring is None:

@@ -7,7 +7,7 @@ Coefficients live in a NumberField.  Representations are canonical
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import InputError, NotHomogeneousError
 from .field import FieldElement, NumberField
@@ -43,15 +43,6 @@ class UniPoly:
 
     def as_dict(self) -> Dict[int, FieldElement]:
         return dict(self.terms)
-
-    def degree(self) -> Optional[int]:
-        return self.terms[-1][0] if self.terms else None
-
-    def coeff(self, exp: int) -> FieldElement:
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return self.field.zero()
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         out = self.as_dict()

@@ -107,6 +107,6 @@ def gamma_oracle(curve: QuasiCurve, i: int, bound: int) -> Set[int]:
     for gamma in range(bound + 1):
         target = [UniPoly.zero(curve.field) for _ in curve.branches]
         target[i] = UniPoly.monomial(curve.field, curve.field.one(), gamma)
-        if curve.image_membership(target, gamma * br.t_degree) is not None:
+        if curve.in_image(target, gamma * br.t_degree):
             members.add(gamma)
     return members

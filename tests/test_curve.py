@@ -304,3 +304,18 @@ def test_image_membership_matches_the_reference(label):
         else:
             members += 1
     assert members and outsiders
+
+
+@pytest.mark.parametrize("label", ["A_3", "D_4", "E_6", "Y_5_3"])
+def test_in_image_agrees_with_image_membership(label):
+    curve = catalog_get(label).curve()
+    rng = random.Random(label)
+    answers = set()
+    for target, w in _membership_targets(curve, rng):
+        for degree in (w, w + 1):
+            expected = curve.image_membership(target, degree) is not None
+            assert curve.in_image(target, degree) is expected, (label, degree, target)
+            answers.add(expected)
+    assert answers == {True, False}
+    zero = [UniPoly.zero(curve.field) for _ in curve.branches]
+    assert curve.in_image(zero, 1) and curve.image_membership(zero, 1) == []

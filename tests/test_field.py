@@ -346,3 +346,20 @@ def test_min_poly_with_a_repeated_root_rejected(min_poly):
 @pytest.mark.parametrize("min_poly", [(0, 1), (5, 1), (-1, 0, 1), (1, 0, 0, 0, 1)])
 def test_square_free_min_polys_accepted(min_poly):
     assert NumberField(min_poly).degree == len(min_poly) - 1
+
+
+def test_equal_elements_hash_equal_over_Q_and_Q_i():
+    again = NumberField((1, 0, 1))  # Q(i) built a second time
+    a, b = Q_I.generator(), again.generator()
+    pairs = [
+        (QQ.from_rational(Fraction(2, 4)), QQ.one() / QQ.from_rational(2)),
+        (QQ.from_rational(-3) * QQ.from_rational(Fraction(1, 3)), -QQ.one()),
+        (Q_I.element([1, 2]), again.element(["2/2", "4/2"])),
+        ((Q_I.one() + a) * (Q_I.one() - a), again.from_rational(2)),
+        (a * a, Q_I.from_rational(-1)),
+        (b.inv(), -b),
+    ]
+    for x, y in pairs:
+        assert x == y
+        assert hash(x) == hash(y)
+    assert len({x for pair in pairs for x in pair}) == len(pairs)

@@ -7,7 +7,9 @@ import pytest
 
 from qhc import linalg
 from qhc.errors import InputError
-from qhc.field import QQ
+from qhc.field import QQ, NumberField
+
+Q_I = NumberField((1, 0, 1))  # Q[a]/(a^2 + 1)
 
 
 def _m(rows):
@@ -125,3 +127,37 @@ def test_elimination_matches_the_reference_loops():
         member = [sum((c[r] for c in cols[:2]), QQ.zero()) for r in range(nrows)]
         for rhs in (_v([rng.randint(-2, 2) for _ in range(nrows)]), member):
             assert linalg.solve(matrix, rhs, QQ) == reference_solve(matrix, rhs, QQ)[0]
+
+
+@pytest.mark.parametrize("field", [QQ, Q_I], ids=["Q", "Qi"])
+def test_in_span_agrees_with_solve(field):
+    rng = random.Random(31)
+    entries = [0, 0, 0, 1, -1, 2, -3]
+
+    def draw():
+        return field.element([rng.choice(entries) for _ in range(field.degree)])
+
+    ranks = set()
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 5), rng.randint(0, 7)
+        cols = [[draw() for _ in range(nrows)] for _ in range(ncols)]
+        if ncols > 1 and rng.random() < 0.5:
+            # A repeated combination of two columns lowers the rank.
+            cols.append([a * draw() + b for a, b in zip(cols[0], cols[1])])
+        matrix = [[col[r] for col in cols] for r in range(nrows)]
+        elimination = linalg.Elimination(nrows, field)
+        for col in cols:
+            elimination.add(col)
+        ranks.add((elimination.rank < nrows, elimination.rank < len(cols)))
+        member = [field.zero()] * nrows
+        for col in cols:
+            c = draw()
+            member = [m + c * x for m, x in zip(member, col)]
+        for rhs in ([draw() for _ in range(nrows)], member):
+            expected = linalg.solve(matrix, rhs, field) is not None
+            assert elimination.in_span(rhs) is expected
+        # The rows of the transform below rank vanish on every column.
+        for y in elimination.transform[elimination.rank:]:
+            for col in cols:
+                assert not sum((a * b for a, b in zip(y, col)), field.zero())
+    assert ranks == {(False, False), (False, True), (True, False), (True, True)}

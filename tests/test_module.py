@@ -1,11 +1,12 @@
 """Graded submodules of free covers: pieces, membership, embedding, conditions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from qhc.catalog import ADE_LABELS, catalog_get, fixture_modules
-from qhc.connection import apply_nabla_D, apply_nabla_E
+from qhc.connection import apply_nabla_D, apply_nabla_E, default_degree_bound
 from qhc.derivation import q_element
 from qhc.errors import InputError
 from qhc.field import QQ
@@ -14,6 +15,7 @@ from qhc.module import (
     GradedSubmodule,
     ModuleElement,
     basis_element,
+    coordinate_ring,
     element_degree,
     element_degrees,
     homogeneous_components,
@@ -123,6 +125,18 @@ def test_contains_zero_element_is_trivial():
     curve = y_family_curve(3, 2)
     M = case1_module(curve, 3)
     assert M.contains(ModuleElement(QQ, {})) == []
+
+
+def test_is_member_of_zero_and_of_a_mixed_degree_element():
+    curve = y_family_curve(3, 2)
+    M = case1_module(curve, 3)
+    assert M.is_member(ModuleElement(QQ, {})) is True
+    mixed = _elem({(0, 0): (1, 1)}) + _elem({(1, 0): (1, 1)})
+    with pytest.raises(InputError) as from_contains:
+        M.contains(mixed)
+    with pytest.raises(InputError) as from_is_member:
+        M.is_member(mixed)
+    assert str(from_is_member.value) == str(from_contains.value)
 
 
 def test_contains_rejects_outsiders():
@@ -282,6 +296,62 @@ def test_check_C1_matches_the_reference(label):
         M = fx.module(curve)
         for module in (M, M.canonical_embedding()):
             assert module.check_C1() == reference_check_C1(module), (label, fx.name)
+
+
+def _membership_variants(curve, M):
+    """M, its canonical embedding, two shifts, the coordinate ring and the
+    (C1) branch projections of M and of its canonical embedding."""
+    Mc = M.canonical_embedding()
+    yield "module", M
+    yield "canonical", Mc
+    yield "shifted(2)", M.shifted(2)
+    yield "shifted(-2)", M.shifted(-2)
+    yield "coordinate_ring", coordinate_ring(curve)
+    for name, N in (("module", M), ("canonical", Mc)):
+        for i in range(curve.r):
+            yield "%s/projection(%d)" % (name, i), N.projection(i)
+
+
+def _membership_candidates(M, w, q, lam, rng):
+    """Basis vectors, nabla_D images, random piece elements and cover
+    monomials (with a piece element added) of degree w."""
+    field = M.curve.field
+    basis = M.graded_piece(w)
+    images = [apply_nabla_D(M.curve, M.cover, v, q) for v in M.graded_piece(w - lam)]
+    combos = []
+    for _ in range(2):
+        total = ModuleElement(field, {})
+        for v in basis:
+            total = total + v.scale(field.from_rational(rng.randint(-3, 3)))
+        combos.append(total)
+    monomials = []
+    for i, j in M.cover.slots():
+        delta = w - M.cover.shifts[i][j]
+        d_i = M.curve.branches[i].t_degree
+        if delta >= 0 and delta % d_i == 0:
+            t = basis_element(M.curve, i, j, delta // d_i)
+            monomials += [t, t + combos[0]]
+    return basis + [v for v in images if v] + combos + monomials
+
+
+@pytest.mark.parametrize("label", list(ADE_LABELS) + ["Y_3_2", "Y_5_3", "Y_5_4"])
+def test_is_member_agrees_with_contains(label):
+    entry = catalog_get(label)
+    curve = entry.curve()
+    q = q_element(curve)
+    lam = curve.wf - curve.wx - curve.wy
+    rng = random.Random(label)
+    seen = set()
+    for fx in fixture_modules(entry):
+        for name, M in _membership_variants(curve, fx.module(curve)):
+            for w in range(M.min_shift(), default_degree_bound(curve, M) + lam + 1):
+                index, basis, elimination = M._piece(w)
+                for v in _membership_candidates(M, w, q, lam, rng):
+                    expected = M.contains(v) is not None
+                    assert M.is_member(v) is expected, (label, fx.name, name, w, str(v))
+                    seen.add((elimination.full, expected))
+    # Full pieces answer yes at once; rank-deficient ones answer both ways.
+    assert seen == {(True, True), (False, True), (False, False)}, label
 
 
 def test_subtraction_negates_instead_of_scaling(rng):
