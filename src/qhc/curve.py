@@ -179,6 +179,8 @@ def factor(
 
     Automatic root extraction works over Q only; over an extension the
     caller must supply the branch list explicitly (see QuasiCurve.create).
+    The roots of the mixed factor come from rational_roots (trial
+    division), each branch's b from exact integer roots (_solve_b).
     """
     wx, wy = weights
     if math.gcd(wx, wy) != 1 or wx <= 0 or wy <= 0:
@@ -246,17 +248,29 @@ def factor(
     return unit, _order_branches(branches)
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for an integer n >= 1, by Newton's method on integers."""
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k), above the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _solve_b(field: NumberField, a: FieldElement, wx: int) -> FieldElement:
-    """Deterministic rational root b of a*b^wx = -1; Q only."""
+    """The least rational b by (numerator, denominator) with a*b^wx = -1, so the
+    negative one for even wx, from exact integer wx-th roots of the numerator
+    and denominator of -1/a in lowest terms, with no trial division; Q only."""
     if field.degree != 1:
         raise InputError("b_i not in field: supply explicit branches")
-    target = (-field.one()) / a  # b^wx = -1/a
-    # roots of X^wx - target over Q
-    coeffs = [-target.as_rational()] + [Fraction(0)] * (wx - 1) + [Fraction(1)]
-    roots = rational_roots(coeffs)
-    if not roots:
+    target = -1 / a.as_rational()
+    num, den = abs(target.numerator), target.denominator
+    rnum, rden = _iroot(num, wx), _iroot(den, wx)
+    if rnum ** wx != num or rden ** wx != den or (target < 0 and wx % 2 == 0):
         raise InputError("b_i not in field: u^%d + %s" % (wx, (field.one() / a)))
-    return field.from_rational(roots[0][0])
+    sign = -1 if target < 0 or wx % 2 == 0 else 1
+    return field.from_rational(Fraction(sign * rnum, rden))
 
 
 def _order_branches(branches: List[Branch]) -> List[Branch]:
@@ -303,7 +317,7 @@ class QuasiCurve:
     unit: FieldElement
     branches: tuple
     # Per-curve memos, none of which takes part in equality or hashing:
-    # monomial images keyed by (x-exp, y-exp), the powers [1, c, c^2, ...]
+    # monomial_terms keyed by (x-exp, y-exp), the powers [1, c, c^2, ...]
     # of each coefficient c of n_i(x), n_i(y), and values derived from the
     # curve alone (derivation.q_element, module.coordinate_ring).
     _images: dict = dc_field(default_factory=dict, compare=False, repr=False)
@@ -363,40 +377,44 @@ class QuasiCurve:
         """n(h): the per-branch images under the normalization map."""
         per_branch: List[dict] = [{} for _ in self.branches]
         for (a, b), c in h.terms:
-            for acc, img in zip(per_branch, self.monomial_image(a, b)):
-                for e, v in img.terms:
+            for acc, term in zip(per_branch, self.monomial_terms(a, b)):
+                if term is not None:
+                    v, e = term
                     acc[e] = acc[e] + c * v if e in acc else c * v
         return [UniPoly.make(self.field, acc) for acc in per_branch]
 
-    def monomial_image(self, xe: int, ye: int) -> List[UniPoly]:
-        """n(x^xe y^ye): one monomial c*t_i^e (or zero) per branch.
+    def monomial_terms(self, xe: int, ye: int) -> tuple:
+        """n(x^xe y^ye) as one term (c, e), meaning c*t_i^e, per branch,
+        or None on a branch where the image vanishes.
 
         With n_i(x) = c_x t^{e_x} and n_i(y) = c_y t^{e_y} the image is
         c_x^xe c_y^ye t^{xe*e_x + ye*e_y}; it vanishes on an axis branch
         whose vanishing coordinate has a positive exponent.
         """
         key = (xe, ye)
-        img = self._images.get(key)
-        if img is None:
+        terms = self._images.get(key)
+        if terms is None:
             if xe < 0 or ye < 0:
                 raise InputError("negative exponent in k[x,y]")
-            img = tuple(self._branch_image(br, xe, ye) for br in self.branches)
-            self._images[key] = img
-        return list(img)
+            terms = self._images[key] = tuple(self._branch_term(br, xe, ye) for br in self.branches)
+        return terms
 
-    def _branch_image(self, br: Branch, xe: int, ye: int) -> UniPoly:
+    def monomial_image(self, xe: int, ye: int) -> List[UniPoly]:
+        """n(x^xe y^ye) as one UniPoly per branch, built from monomial_terms."""
+        return [UniPoly.zero(self.field) if t is None else UniPoly(self.field, ((t[1], t[0]),))
+                for t in self.monomial_terms(xe, ye)]
+
+    def _branch_term(self, br: Branch, xe: int, ye: int):
         coeff, exp = None, 0
         for p, k in ((br.nx, xe), (br.ny, ye)):
             if not k:
                 continue
             if not p:
-                return UniPoly.zero(self.field)
+                return None
             c, e = p.monomial_parts()
             ck = self._power(c, k)
             coeff, exp = ck if coeff is None else coeff * ck, exp + e * k
-        if coeff is None:
-            coeff = self.field.one()
-        return UniPoly.monomial(self.field, coeff, exp)
+        return (self.field.one() if coeff is None else coeff, exp)
 
     def _power(self, c: FieldElement, k: int) -> FieldElement:
         """c^k, from the curve's table of the powers of c."""
@@ -430,10 +448,10 @@ class QuasiCurve:
         """coordinate_ring(self) and target as an element of its cover, or
         None for the element when a term of target is not of degree w."""
         # module imports this module, so the import waits until first use.
-        from .module import ModuleElement, coordinate_ring
+        from .module import _of, coordinate_ring
 
         ring = coordinate_ring(self)
-        if any(e * br.t_degree != w
-               for br, p in zip(self.branches, target) for e, _ in p.terms):
+        coeffs = {(i, 0, e): c for i, p in enumerate(target) for e, c in p.terms}
+        if any(e * self.branches[i].t_degree != w for i, _, e in coeffs):
             return ring, None
-        return ring, ModuleElement(self.field, {(i, 0): p for i, p in enumerate(target)})
+        return ring, _of(self.field, coeffs)

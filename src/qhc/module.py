@@ -13,20 +13,21 @@ only the stability check of the connection and image_membership ask for.
 
 A ModuleElement is a sparse vector over the cover coordinates
 (branch, slot, t-exponent), the same keys that index a degree piece, so
-sums, scalings, the action of a monomial image and the coordinates of a
+sums, scalings, the action of a monomial image, the span columns of a
+piece (written from the curve's monomial_terms) and the coordinates of a
 membership question are coefficient operations with no polynomial built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .curve import QuasiCurve
 from .errors import ConsistencyError, InputError
 from .field import FieldElement
-from .poly import BiPoly, UniPoly, monomials_of_weight
+from .poly import UniPoly, monomials_of_weight
 from .semigroup import gamma_formula
 
 
@@ -179,9 +180,9 @@ def homogeneous_components(
 
 
 def basis_element(curve: QuasiCurve, i: int, j: int, exp: int = 0) -> ModuleElement:
-    return ModuleElement(
-        curve.field, {(i, j): UniPoly.monomial(curve.field, curve.field.one(), exp)}
-    )
+    if exp < 0:
+        raise InputError("negative exponent in k[t]")
+    return _of(curve.field, {(i, j, exp): curve.field.one()})
 
 
 # A witness term is (generator index, (x-exp, y-exp), coefficient):
@@ -246,29 +247,31 @@ class GradedSubmodule:
             vec[pos] = c
         return vec
 
-    def _span_columns(self, w: int) -> Iterator[Tuple[int, Tuple[int, int], ModuleElement]]:
-        """Generating family of M_w: n(monomial) * generator, tagged, in order."""
-        for l, (gen, wl) in enumerate(zip(self.generators, self.weights)):
-            delta = w - wl
-            if delta < 0:
-                continue
-            for a, b in monomials_of_weight(self.curve.wx, self.curve.wy, delta):
-                elem = gen.act(self.curve.monomial_image(a, b))
-                if elem:
-                    yield (l, (a, b), elem)
-
     def _piece(self, w: int) -> Tuple[dict, list, linalg.Elimination]:
-        """The degree-w piece, eliminated once and kept for the module's life."""
+        """The degree-w piece, eliminated once and kept for the module's life:
+        the greedy basis of the span columns n(x^a y^b)*m_l, tagged (l, (a, b),
+        element), each written from m_l's coefficients and monomial_terms."""
         piece = self._pieces.get(w)
         if piece is None:
+            curve = self.curve
             index = {s: pos for pos, s in enumerate(self._degree_slots(w))}
-            elimination = linalg.Elimination(len(index), self.curve.field)
+            elimination = linalg.Elimination(len(index), curve.field)
             basis = []
-            for col in self._span_columns(w):
-                if elimination.add(self._coords(col[2], index)):
-                    basis.append(col)
-                    if elimination.full:
-                        break
+            for l, (gen, wl) in enumerate(zip(self.generators, self.weights)):
+                for a, b in monomials_of_weight(curve.wx, curve.wy, w - wl):
+                    terms = curve.monomial_terms(a, b)
+                    col = {}
+                    for (i, j, e), c in gen.coeffs.items():
+                        t = terms[i]
+                        if t is not None:
+                            col[(i, j, e + t[1])] = t[0] * c
+                    elem = _of(curve.field, col)
+                    if col and elimination.add(self._coords(elem, index)):
+                        basis.append((l, (a, b), elem))
+                        if elimination.full:
+                            break
+                if elimination.full:
+                    break
             piece = self._pieces[w] = (index, basis, elimination)
         return piece
 

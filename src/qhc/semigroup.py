@@ -3,8 +3,9 @@
 The shifted semigroup of branch i is computed two ways: the closed
 formula (shift + branch value semigroup, conductor (w_f-w_i)/d_i + c(A_i))
 and a brute-force membership oracle that decides t_i^gamma in A by
-membership in the coordinate ring module A*(1,...,1), through the
-graded module kernel.  Tests keep the two routes in agreement.
+membership of the cover element {(i, 0, gamma): 1} in the coordinate
+ring module A*(1,...,1), through the graded module kernel.  Tests keep
+the two routes in agreement.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Iterable, Set
 
 from .curve import BranchKind, QuasiCurve
 from .errors import ConsistencyError, InputError
-from .poly import UniPoly
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,10 @@ def gamma_formula(curve: QuasiCurve, i: int) -> ShiftedSemigroup:
 
 
 def gamma_oracle(curve: QuasiCurve, i: int, bound: int) -> Set[int]:
-    """Members of Gamma_i on [0, bound] by graded membership of t_i^gamma."""
-    br = curve.branches[i]
-    members = set()
-    for gamma in range(bound + 1):
-        target = [UniPoly.zero(curve.field) for _ in curve.branches]
-        target[i] = UniPoly.monomial(curve.field, curve.field.one(), gamma)
-        if curve.in_image(target, gamma * br.t_degree):
-            members.add(gamma)
-    return members
+    """Members of Gamma_i on [0, bound]: each t_i^gamma, the cover element
+    {(i, 0, gamma): 1}, asked of coordinate_ring(curve).is_member."""
+    # module imports this module, so the import waits until first use.
+    from .module import basis_element, coordinate_ring
+
+    ring = coordinate_ring(curve)
+    return {g for g in range(bound + 1) if ring.is_member(basis_element(curve, i, 0, g))}

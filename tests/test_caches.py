@@ -14,11 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from qhc import derivation
+from qhc import derivation, linalg
 from qhc.catalog import ADE_LABELS, catalog_get, fixture_modules
 from qhc.connection import default_degree_bound
+from qhc.curve import BranchKind
 from qhc.derivation import q_element
-from qhc.module import ModuleElement, basis_element
+from qhc.module import ModuleElement, basis_element, coordinate_ring
 from qhc.poly import BiPoly, UniPoly, monomials_of_weight
 
 from test_linalg import reference_independent_subset, reference_solve
@@ -103,6 +104,25 @@ def test_monomial_images_match_evaluation(label):
             assert curve.monomial_image(a, b) == expected, (label, a, b)
 
 
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_monomial_terms_match_images_and_evaluation(label):
+    curve = catalog_get(label).curve()
+    vanished = 0
+    for w in range(3 * curve.wf + 1):
+        for a, b in monomials_of_weight(curve.wx, curve.wy, w):
+            terms = curve.monomial_terms(a, b)
+            assert len(terms) == curve.r
+            as_polys = [
+                UniPoly.zero(curve.field) if t is None else UniPoly.monomial(curve.field, *t)
+                for t in terms
+            ]
+            assert as_polys == curve.monomial_image(a, b) == _evaluated_image(curve, a, b)
+            assert curve.monomial_terms(a, b) is terms
+            vanished += sum(t is None for t in terms)
+    axis = any(br.kind is not BranchKind.BINOMIAL for br in curve.branches)
+    assert (vanished > 0) == axis, label
+
+
 def test_images_do_not_depend_on_query_order():
     for label in ("A_5", "D_6", "Y_5_3"):
         curve = catalog_get(label).curve()
@@ -168,6 +188,30 @@ def test_graded_piece_is_the_greedy_independent_subset(label):
             chosen = reference_independent_subset(vectors, M.curve.field)
             expected = [columns[k][2] for k in chosen]
             assert M.graded_piece(w) == expected, (label, name, w)
+
+
+def _reference_piece_basis(M, w):
+    """The basis of M_w as built from UniPoly images: the columns
+    gen.act(monomial_image(a, b)) fed in order to a fresh Elimination."""
+    index = {s: pos for pos, s in enumerate(M._degree_slots(w))}
+    elimination = linalg.Elimination(len(index), M.curve.field)
+    basis = []
+    for l, (gen, wl) in enumerate(zip(M.generators, M.weights)):
+        for a, b in monomials_of_weight(M.curve.wx, M.curve.wy, w - wl):
+            elem = gen.act(M.curve.monomial_image(a, b))
+            if elem and elimination.add(M._coords(elem, index)):
+                basis.append((l, (a, b), elem))
+    return basis
+
+
+@pytest.mark.parametrize("label", FIXTURE_LABELS)
+def test_piece_basis_matches_the_image_columns(label):
+    curve = catalog_get(label).curve()
+    lam = curve.wf - curve.wx - curve.wy
+    modules = list(_fixture_modules(label)) + [("coordinate_ring", coordinate_ring(curve))]
+    for name, M in modules:
+        for w in range(M.min_shift(), default_degree_bound(curve, M) + lam + 1):
+            assert M._piece(w)[1] == _reference_piece_basis(M, w), (label, name, w)
 
 
 def _candidates(M, w):

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from qhc import curve as curve_module
 from qhc.catalog import ADE_LABELS, catalog_get
 from qhc.curve import (
     BranchKind,
     QuasiCurve,
+    _solve_b,
     branch_conductor,
     factor,
     infer_weights,
@@ -189,6 +191,65 @@ def test_rational_roots_with_multiplicity():
     roots = rational_roots([2, -3, 0, 1])
     assert roots == [(Fraction(-2), 1), (Fraction(1), 2)]
     assert rational_roots([0, 0, 1]) == [(Fraction(0), 2)]
+
+
+def _outcome(call):
+    """The value of call(), or the message of the InputError it raises."""
+    try:
+        return call()
+    except InputError as exc:
+        return str(exc)
+
+
+def _reference_solve_b(a, wx):
+    """b as solved before exact roots: the first rational root of X^wx + 1/a."""
+    target = -1 / a.as_rational()
+    roots = rational_roots([-target] + [0] * (wx - 1) + [1])
+    if not roots:
+        raise InputError("b_i not in field: u^%d + %s" % (wx, (QQ.one() / a)))
+    return QQ.from_rational(roots[0][0])
+
+
+def test_solve_b_agrees_with_trial_division():
+    bases = {Fraction(s * p, q) for s in (1, -1) for p in range(1, 13) for q in range(1, 13)}
+    compared = roots = 0
+    for wx in range(1, 8):
+        for target in sorted(bases | {r ** wx for r in bases}):
+            a = QQ.from_rational(-1 / target)
+            expected = _outcome(lambda: _reference_solve_b(a, wx))
+            assert _outcome(lambda: _solve_b(QQ, a, wx)) == expected, (wx, target)
+            compared += 1
+            roots += not isinstance(expected, str)
+    assert compared > 2000 and 0 < roots < compared
+
+
+def test_solve_b_takes_roots_of_forty_digit_powers():
+    b = Fraction(123456789012345678901, 9876543210987)
+    for wx, expected in ((2, -b), (3, b), (3, -b)):
+        target = expected ** wx
+        assert len(str(target.numerator)) >= 40
+        a = QQ.from_rational(-1 / target)
+        assert _solve_b(QQ, a, wx) == QQ.from_rational(expected)
+        near = QQ.from_rational(-1 / (target + 1))
+        with pytest.raises(InputError, match="b_i not in field"):
+            _solve_b(QQ, near, wx)
+
+
+def test_only_the_mixed_factor_uses_trial_division(monkeypatch):
+    calls = []
+    real = curve_module.rational_roots
+
+    def counting(coeffs):
+        calls.append(list(coeffs))
+        return real(coeffs)
+
+    monkeypatch.setattr(curve_module, "rational_roots", counting)
+    # (x^2 - y^3)(x^2 + 8y^3): with u = y^3/x^2 the mixed factor is
+    # x^4 (1 + 7u - 8u^2), and b^3 = -1/a gives b = 1 and b = -1/2.
+    f = rational_poly(QQ, {(4, 0): 1, (2, 3): 7, (0, 6): -8})
+    _, branches = factor(f, (3, 2), QQ)
+    assert calls == [[Fraction(1), Fraction(7), Fraction(-8)]]
+    assert sorted(br.b.as_rational() for br in branches) == [Fraction(-1, 2), Fraction(1)]
 
 
 def test_image_membership_zero_and_gap_targets():

@@ -2,7 +2,9 @@
 
 import pytest
 
+from qhc.catalog import catalog_get
 from qhc.errors import InputError
+from qhc.field import FieldElement
 from qhc.semigroup import gamma_formula, gamma_oracle, is_symmetric, sg_from_generators
 
 from conftest import cusp_curve, y_family_curve
@@ -91,3 +93,23 @@ def test_koszul_weight_identity_for_frobenius_numbers():
         for i, br in enumerate(curve.branches):
             g = gamma_formula(curve, i).frobenius
             assert g * br.t_degree == lam
+
+
+def test_oracle_makes_no_more_field_products_than_the_image_columns(monkeypatch):
+    # Every oracle answer on these curves and bounds took 21694 products when
+    # each span column was gen.act(monomial_image(a, b)); writing the columns
+    # from monomial_terms must not add any (a product by one() counts too).
+    curves = [cusp_curve(), y_family_curve(3, 2), y_family_curve(5, 3)]
+    curves += [catalog_get(label).curve() for label in ("D_6", "E_7")]
+    products = []
+    real_mul = FieldElement.__mul__
+
+    def counting_mul(a, b):
+        products.append(None)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counting_mul)
+    for curve in curves:
+        for i in range(curve.r):
+            assert gamma_oracle(curve, i, 60) == gamma_formula(curve, i).members_upto(60)
+    assert len(products) <= 21694
