@@ -179,11 +179,12 @@ def cmd_module(args) -> int:
     M = _load_module(args.module, curve)
     if args.action == "check":
         Mc = M.canonical_embedding()
+        c3_holds, c3_lambda = Mc.check_C3()
         report = {
             "canonical": io.module_to_json(Mc),
             "c1": [{"branch": i + 1, "index": j + 1, "holds": v} for (i, j), v in sorted(Mc.check_C1().items())],
             "c2": [{"branch": i + 1, "index": j + 1, "holds": v} for (i, j), v in sorted(Mc.check_C2().items())],
-            "c3": {"holds": Mc.check_C3()[0], "lambda": Mc.check_C3()[1]},
+            "c3": {"holds": c3_holds, "lambda": c3_lambda},
         }
         _emit(report, args.format)
         return 0

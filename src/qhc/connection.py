@@ -161,7 +161,7 @@ def default_degree_bound(curve: QuasiCurve, M: GradedSubmodule) -> int:
 
 def _random_homogeneous_scalar(
     rng: random.Random, curve: QuasiCurve, max_weight: int
-) -> Optional[BiPoly]:
+) -> BiPoly:
     """A random nonzero homogeneous element of k[x,y] of bounded weight."""
     weights = [w for w in range(0, max_weight + 1)
                if monomials_of_weight(curve.wx, curve.wy, w)]
@@ -228,7 +228,7 @@ def verify_properties(
     for _ in range(samples):
         a = _random_homogeneous_scalar(rng, curve, max(degree_bound // 2, curve.wx + curve.wy))
         v = _random_module_element(rng, M, degree_bound)
-        if a is None or v is None:
+        if v is None:
             continue
         na = curve.normalization_image(a)
         av = v.act(na)

@@ -8,7 +8,7 @@ branch from the chain rule and cross-checked on the other coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .curve import BranchKind, QuasiCurve
@@ -48,18 +48,12 @@ class QElement:
 
     coeffs: tuple  # FieldElement per branch
     exps: tuple  # g_i per branch
-    # q as a vector of branch polynomials, built once; not part of equality.
-    _vector: tuple = dc_field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        vector = tuple(
+    def as_vector(self) -> Tuple[UniPoly, ...]:
+        """q as (c_i t_i^{g_i})_i."""
+        return tuple(
             UniPoly.monomial(c.field, c, e) for c, e in zip(self.coeffs, self.exps)
         )
-        object.__setattr__(self, "_vector", vector)
-
-    def as_vector(self, curve: QuasiCurve) -> Tuple[UniPoly, ...]:
-        """q as (c_i t_i^{g_i})_i; it depends on q alone, curve is not read."""
-        return self._vector
 
 
 def euler(curve: QuasiCurve) -> DerivationOnA:
@@ -169,7 +163,7 @@ def _compute_q(curve: QuasiCurve) -> QElement:
     q = QElement(tuple(coeffs), tuple(exps))
     # ~D = q * ~E componentwise
     ext_e = extend(curve, euler(curve))
-    qvec = q.as_vector(curve)
+    qvec = q.as_vector()
     for i in range(curve.r):
         if qvec[i] * ext_e.deltas[i] != ext_d.deltas[i]:
             raise ConsistencyError("~D != q*~E on branch %d" % (i + 1))

@@ -14,8 +14,9 @@ only the stability check of the connection and image_membership ask for.
 A ModuleElement is a sparse vector over the cover coordinates
 (branch, slot, t-exponent), the same keys that index a degree piece, so
 sums, scalings, the action of a monomial image, the span columns of a
-piece (written from the curve's monomial_terms) and the coordinates of a
-membership question are coefficient operations with no polynomial built.
+piece (written from the curve's monomial_terms), the coordinates of a
+membership question and the column reduction of the canonical embedding
+are coefficient operations with no polynomial built.
 """
 
 from __future__ import annotations
@@ -56,6 +57,20 @@ def _of(field, coeffs: Dict[Tuple[int, int, int], FieldElement]) -> "ModuleEleme
     v.field = field
     v.coeffs = coeffs
     return v
+
+
+def _sub_multiple(
+    col: Dict[int, FieldElement], c: FieldElement, pivot: Dict[int, FieldElement]
+) -> Dict[int, FieldElement]:
+    """col - c*pivot on {slot: coefficient} maps, keeping no zero."""
+    out = dict(col)
+    for j, b in pivot.items():
+        s = out[j] - c * b if j in out else -(c * b)
+        if s:
+            out[j] = s
+        else:
+            del out[j]
+    return out
 
 
 class ModuleElement:
@@ -133,10 +148,6 @@ class ModuleElement:
         if convolved:
             out = {k: c for k, c in out.items() if c}
         return _of(self.field, out)
-
-    def branch_projection(self, i: int, rank: int) -> List[UniPoly]:
-        entries = self.entries
-        return [entries.get((i, j), UniPoly.zero(self.field)) for j in range(rank)]
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -314,90 +325,61 @@ class GradedSubmodule:
     def canonical_embedding(self) -> "GradedSubmodule":
         """Re-embed into the minimal free cover of the branch projections.
 
-        Per branch, a graded column reduction over k[t_i] produces a
+        Per branch i, a graded column reduction over k[t_i] produces a
         deterministic homogeneous basis of the module generated by the
         branch projections of the generators; the cover is replaced by
-        that basis and the generators are rewritten.  Idempotent.
+        that basis and the generators are rewritten.  A branch part of
+        degree w is held as (w, {slot: c}), its slot-j entry being
+        c t_i^((w - f_ij)/d_i), so a reduction step is coefficient
+        arithmetic and a new cover shift is the degree of its pivot.
+        Idempotent: the pivot columns form an echelon basis, so a second
+        pass picks the same pivots, now the unit vectors of the new cover.
         """
-        field = self.curve.field
-        new_shifts = []
-        bases = []  # per branch: list of (pivot_row, column vector)
+        # parts[i][l]: the branch-i part of generator l as {slot: c}.
+        parts = [[{} for _ in self.generators] for _ in self.cover.shifts]
+        for l, g in enumerate(self.generators):
+            for (i, j, _), c in g.coeffs.items():
+                parts[i][l][j] = c
+        bases = []  # per branch: (pivot row, degree, column with 1 in that row)
         for i, branch_shifts in enumerate(self.cover.shifts):
-            rank = len(branch_shifts)
-            d_i = self.curve.branches[i].t_degree
-            work = []
-            for gen in self.generators:
-                col = gen.branch_projection(i, rank)
-                if any(col):
-                    work.append(col)
+            work = [(w, part) for w, part in zip(self.weights, parts[i]) if part]
             basis = []
-            for row in range(rank):
-                candidates = [idx for idx, c in enumerate(work) if c[row]]
+            for row in range(len(branch_shifts)):
+                candidates = [idx for idx, (_, col) in enumerate(work) if row in col]
                 if not candidates:
                     continue
-                best = min(
-                    candidates, key=lambda idx: work[idx][row].monomial_parts()[1]
-                )
-                pivot = work.pop(best)
-                pc, pe = pivot[row].monomial_parts()
-                pivot = [p.scale(pc.inv()) for p in pivot]
+                pw, pivot = work.pop(min(candidates, key=lambda idx: work[idx][0]))
+                inv = pivot[row].inv()
+                pivot = {j: c * inv for j, c in pivot.items()}
                 remaining = []
-                for c in work:
-                    if c[row]:
-                        cc, ce = c[row].monomial_parts()
-                        if ce < pe:
+                for w, col in work:
+                    if row in col:
+                        if w < pw:
                             raise ConsistencyError("pivot was not minimal")
-                        factor = UniPoly.monomial(field, cc, ce - pe)
-                        c = [a - factor * b for a, b in zip(c, pivot)]
-                    if any(c):
-                        remaining.append(c)
+                        col = _sub_multiple(col, col[row], pivot)
+                    if col:
+                        remaining.append((w, col))
                 work = remaining
-                basis.append((row, pivot))
-            # Reduce to the canonical echelon form: clear entries in other
-            # pivot rows whenever the exponent allows; this makes the
-            # embedding idempotent.
-            # Later pivot columns already vanish on earlier pivot rows, so
-            # clearing earlier pivot rows in ascending order (against
-            # columns that are themselves reduced) finishes in one pass.
-            for k in range(len(basis)):
-                row_k, col_k = basis[k]
-                for j in range(k):
-                    row_j, col_j = basis[j]
-                    if not col_k[row_j]:
-                        continue
-                    cc, ce = col_k[row_j].monomial_parts()
-                    pe = col_j[row_j].monomial_parts()[1]
-                    if ce >= pe:
-                        factor = UniPoly.monomial(field, cc, ce - pe)
-                        col_k = [a - factor * b for a, b in zip(col_k, col_j)]
-                basis[k] = (row_k, col_k)
-            shifts = []
-            for row, col in basis:
-                j_nz, nz = next((j, p) for j, p in enumerate(col) if p)
-                _, e = nz.monomial_parts()
-                shifts.append(branch_shifts[j_nz] + e * d_i)
-            new_shifts.append(tuple(shifts))
+                basis.append((row, pw, pivot))
             bases.append(basis)
-        new_cover = FreeCover(tuple(new_shifts))
         new_gens = []
-        for gen in self.generators:
-            entries: Dict[Tuple[int, int], UniPoly] = {}
-            for i, branch_shifts in enumerate(self.cover.shifts):
-                rank = len(branch_shifts)
-                p = gen.branch_projection(i, rank)
-                for new_j, (row, col) in enumerate(bases[i]):
-                    if not p[row]:
+        for l, w in enumerate(self.weights):
+            coeffs = {}
+            for i, basis in enumerate(bases):
+                d_i = self.curve.branches[i].t_degree
+                p = parts[i][l]
+                for new_j, (row, pw, col) in enumerate(basis):
+                    if row not in p:
                         continue
-                    pc, pe = p[row].monomial_parts()
-                    bc, be = col[row].monomial_parts()
-                    if pe < be:
+                    if w < pw:
                         raise ConsistencyError("projection not in branch module")
-                    q = UniPoly.monomial(self.curve.field, pc / bc, pe - be)
-                    p = [a - q * b for a, b in zip(p, col)]
-                    entries[(i, new_j)] = q
-                if any(p):
+                    q = p[row]
+                    p = _sub_multiple(p, q, col)
+                    coeffs[(i, new_j, (w - pw) // d_i)] = q
+                if p:
                     raise ConsistencyError("projection not reduced to zero")
-            new_gens.append(ModuleElement(self.curve.field, entries))
+            new_gens.append(_of(self.curve.field, coeffs))
+        new_cover = FreeCover(tuple(tuple(pw for _, pw, _ in basis) for basis in bases))
         return GradedSubmodule(self.curve, new_cover, new_gens)
 
     # -- conditions ----------------------------------------------------------
@@ -466,10 +448,7 @@ def coordinate_ring(curve: QuasiCurve) -> GradedSubmodule:
     """
     ring = curve._derived.get("coordinate_ring")
     if ring is None:
-        ones = ModuleElement(curve.field, {
-            (i, 0): UniPoly.monomial(curve.field, curve.field.one(), 0)
-            for i in range(curve.r)
-        })
+        ones = _of(curve.field, {(i, 0, 0): curve.field.one() for i in range(curve.r)})
         ring = GradedSubmodule(curve, FreeCover(((0,),) * curve.r), [ones])
         curve._derived["coordinate_ring"] = ring
     return ring

@@ -111,7 +111,7 @@ def test_criterion_4_q_element_identities(gate):
     def body():
         for label, curve in _all_catalog_curves():
             q = q_element(curve)  # self-verifies both identities
-            qvec = q.as_vector(curve)
+            qvec = q.as_vector()
             ext_e = extend(curve, euler(curve))
             ext_d = extend(curve, koszul(curve))
             for i in range(curve.r):

@@ -346,7 +346,7 @@ def _membership_targets(curve, rng):
                 for ab in rng.sample(monos, rng.randint(1, len(monos)))
             })
             yield curve.normalization_image(h), w
-    q = q_element(curve).as_vector(curve)
+    q = q_element(curve).as_vector()
     lam = curve.wf - curve.wx - curve.wy
     for (a, b), wh in (((1, 0), curve.wx), ((0, 1), curve.wy)):
         yield [qv * hv for qv, hv in zip(q, curve.monomial_image(a, b))], lam + wh

@@ -1,5 +1,6 @@
 """Graded submodules of free covers: pieces, membership, embedding, conditions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from qhc.catalog import ADE_LABELS, catalog_get, fixture_modules
 from qhc.connection import apply_nabla_D, apply_nabla_E, default_degree_bound
 from qhc.derivation import q_element
-from qhc.errors import InputError
+from qhc.errors import ConsistencyError, InputError
 from qhc.field import QQ
 from qhc.module import (
     FreeCover,
@@ -199,6 +200,149 @@ def test_canonical_embedding_preserves_graded_dimensions():
     Mc = M.canonical_embedding()
     for w in range(0, 12):
         assert len(M.graded_piece(w)) == len(Mc.graded_piece(w))
+
+
+def reference_canonical_embedding(M):
+    """The UniPoly column reduction canonical_embedding replaced, kept whole
+    (with its echelon pass) as the reference: (cover, generators)."""
+    field = M.curve.field
+
+    def branch_projection(gen, i, rank):
+        entries = gen.entries
+        return [entries.get((i, j), UniPoly.zero(field)) for j in range(rank)]
+
+    new_shifts = []
+    bases = []  # per branch: list of (pivot_row, column vector)
+    for i, branch_shifts in enumerate(M.cover.shifts):
+        rank = len(branch_shifts)
+        d_i = M.curve.branches[i].t_degree
+        work = []
+        for gen in M.generators:
+            col = branch_projection(gen, i, rank)
+            if any(col):
+                work.append(col)
+        basis = []
+        for row in range(rank):
+            candidates = [idx for idx, c in enumerate(work) if c[row]]
+            if not candidates:
+                continue
+            best = min(candidates, key=lambda idx: work[idx][row].monomial_parts()[1])
+            pivot = work.pop(best)
+            pc, pe = pivot[row].monomial_parts()
+            pivot = [p.scale(pc.inv()) for p in pivot]
+            remaining = []
+            for c in work:
+                if c[row]:
+                    cc, ce = c[row].monomial_parts()
+                    if ce < pe:
+                        raise ConsistencyError("pivot was not minimal")
+                    factor = UniPoly.monomial(field, cc, ce - pe)
+                    c = [a - factor * b for a, b in zip(c, pivot)]
+                if any(c):
+                    remaining.append(c)
+            work = remaining
+            basis.append((row, pivot))
+        for k in range(len(basis)):
+            row_k, col_k = basis[k]
+            for j in range(k):
+                row_j, col_j = basis[j]
+                if not col_k[row_j]:
+                    continue
+                cc, ce = col_k[row_j].monomial_parts()
+                pe = col_j[row_j].monomial_parts()[1]
+                if ce >= pe:
+                    factor = UniPoly.monomial(field, cc, ce - pe)
+                    col_k = [a - factor * b for a, b in zip(col_k, col_j)]
+            basis[k] = (row_k, col_k)
+        shifts = []
+        for row, col in basis:
+            j_nz, nz = next((j, p) for j, p in enumerate(col) if p)
+            _, e = nz.monomial_parts()
+            shifts.append(branch_shifts[j_nz] + e * d_i)
+        new_shifts.append(tuple(shifts))
+        bases.append(basis)
+    new_gens = []
+    for gen in M.generators:
+        entries = {}
+        for i, branch_shifts in enumerate(M.cover.shifts):
+            rank = len(branch_shifts)
+            p = branch_projection(gen, i, rank)
+            for new_j, (row, col) in enumerate(bases[i]):
+                if not p[row]:
+                    continue
+                pc, pe = p[row].monomial_parts()
+                bc, be = col[row].monomial_parts()
+                if pe < be:
+                    raise ConsistencyError("projection not in branch module")
+                q = UniPoly.monomial(field, pc / bc, pe - be)
+                p = [a - q * b for a, b in zip(p, col)]
+                entries[(i, new_j)] = q
+            if any(p):
+                raise ConsistencyError("projection not reduced to zero")
+        new_gens.append(ModuleElement(field, entries))
+    return FreeCover(tuple(new_shifts)), new_gens
+
+
+def _assert_embedding_matches_the_reference(M):
+    Mc = M.canonical_embedding()
+    cover, generators = reference_canonical_embedding(M)
+    assert Mc.cover == cover
+    assert Mc.generators == generators
+    return Mc
+
+
+CATALOG_LABELS = list(ADE_LABELS) + [
+    "Y_%d_%d" % (m, n) for m in range(1, 11) for n in range(1, 11) if math.gcd(m, n) == 1
+]
+
+
+def test_canonical_embedding_matches_the_reference_on_every_catalog_fixture():
+    count = 0
+    for label in CATALOG_LABELS:
+        entry = catalog_get(label)
+        curve = entry.curve()
+        for fx in fixture_modules(entry):
+            Mc = _assert_embedding_matches_the_reference(fx.module(curve))
+            _assert_embedding_matches_the_reference(Mc)
+            count += 1
+    assert count > 1000
+
+
+def random_module(rng, curve):
+    """Up to 3 slots per branch with shifts in 0..6, and 1 to 6 homogeneous
+    generators of degree at most 12 with coefficients in {1, -1, 2}."""
+    field = curve.field
+    ranks = [rng.randint(0, 3) for _ in range(curve.r)]
+    if not any(ranks):
+        ranks[rng.randrange(curve.r)] = 1
+    cover = FreeCover(tuple(tuple(rng.randint(0, 6) for _ in range(s)) for s in ranks))
+    generators = []
+    for _ in range(rng.randint(1, 6)):
+        slots = []
+        while not slots:
+            w = rng.randint(0, 12)
+            for i, j in cover.slots():
+                delta, d_i = w - cover.shifts[i][j], curve.branches[i].t_degree
+                if delta >= 0 and delta % d_i == 0:
+                    slots.append((i, j, delta // d_i))
+        generators.append(ModuleElement(field, {
+            (i, j): UniPoly.monomial(field, field.from_rational(rng.choice((1, -1, 2))), e)
+            for i, j, e in rng.sample(slots, rng.randint(1, len(slots)))
+        }))
+    return GradedSubmodule(curve, cover, generators)
+
+
+# Y_3_2 and Y_5_3 have two branches over Q, D_4 three over Q(i), D_6 three
+# over a quartic field.
+@pytest.mark.parametrize("label", ["Y_3_2", "Y_5_3", "D_4", "D_6"])
+def test_canonical_embedding_matches_the_reference_on_random_modules(label):
+    curve = catalog_get(label).curve()
+    for seed in range(60):
+        M = random_module(random.Random(seed), curve)
+        Mc = _assert_embedding_matches_the_reference(M)
+        Mcc = Mc.canonical_embedding()
+        assert Mcc.cover == Mc.cover, seed
+        assert Mcc.generators == Mc.generators, seed
 
 
 def test_condition_checks_on_the_fixture_cases():
