@@ -156,7 +156,7 @@ def default_degree_bound(curve: QuasiCurve, M: GradedSubmodule) -> int:
         gamma_formula(curve, i).conductor * curve.branches[i].t_degree
         for i in range(curve.r)
     )
-    return max(M.weights) + lam + max_cd + 2 * max(curve.wx, curve.wy)
+    return max(M.weights, default=0) + lam + max_cd + 2 * max(curve.wx, curve.wy)
 
 
 def _random_homogeneous_scalar(

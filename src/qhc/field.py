@@ -27,7 +27,10 @@ def as_fraction(v: RationalLike) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise InputError("not a rational value: %r" % (v,))
 
 

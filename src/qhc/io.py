@@ -17,23 +17,30 @@ from .module import FreeCover, GradedSubmodule, ModuleElement, Witness
 from .poly import BiPoly, UniPoly
 
 
+def _integer(value: Any, name: str) -> int:
+    """A JSON integer field: a float or a bool is an error, not truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError("%s must be an integer, not %r" % (name, value))
+
+
 # -- curve specs -------------------------------------------------------------
 
 def curve_from_json(data: Dict[str, Any]) -> QuasiCurve:
+    if not isinstance(data, dict):
+        raise InputError("a CurveSpec must be a JSON object")
     try:
         field_data = data.get("field", {"min_poly": ["0/1", "1/1"]})
         field = NumberField(tuple(as_fraction(c) for c in field_data["min_poly"]))
         terms = {}
         for term in data["f"]:
             coeff = element_from_json(field, term["coeff"])
-            terms[(int(term["x"]), int(term["y"]))] = coeff
+            terms[(_integer(term["x"], "x"), _integer(term["y"], "y"))] = coeff
         f = BiPoly.make(field, terms)
         weights = None
         if "weights" in data:
-            weights = tuple(data["weights"])
-            if len(weights) != 2 or not all(
-                isinstance(w, int) and not isinstance(w, bool) for w in weights
-            ):
+            weights = tuple(_integer(w, "a weight") for w in data["weights"])
+            if len(weights) != 2:
                 raise InputError("weights must be a list of two integers")
         branches = None
         if "branches" in data:
@@ -70,27 +77,29 @@ def curve_to_json(curve: QuasiCurve) -> Dict[str, Any]:
 # -- module specs ------------------------------------------------------------
 
 def module_from_json(curve: QuasiCurve, data: Dict[str, Any]) -> GradedSubmodule:
+    if not isinstance(data, dict):
+        raise InputError("a ModuleSpec must be a JSON object")
     try:
         shifts: List[tuple] = [() for _ in range(curve.r)]
         for row in data["cover"]:
-            i = int(row["branch"]) - 1
+            i = _integer(row["branch"], "branch") - 1
             if not 0 <= i < curve.r:
                 raise InputError("cover branch index %d out of range" % (i + 1))
-            shifts[i] = tuple(int(s) for s in row["shifts"])
+            shifts[i] = tuple(_integer(s, "shift") for s in row["shifts"])
         cover = FreeCover(tuple(shifts))
         generators = []
         for gen in data["generators"]:
             entries: Dict[tuple, UniPoly] = {}
             for term in gen:
-                i = int(term["branch"]) - 1
-                j = int(term["index"]) - 1
+                i = _integer(term["branch"], "branch") - 1
+                j = _integer(term["index"], "index") - 1
                 if not (0 <= i < curve.r and 0 <= j < len(shifts[i])):
                     raise InputError(
                         "generator term (branch %d, index %d) is not a cover slot"
                         % (i + 1, j + 1)
                     )
                 coeff = element_from_json(curve.field, term["coeff"])
-                exp = int(term["exp"])
+                exp = _integer(term["exp"], "exp")
                 mono = UniPoly.monomial(curve.field, coeff, exp)
                 key = (i, j)
                 entries[key] = entries.get(key, UniPoly.zero(curve.field)) + mono

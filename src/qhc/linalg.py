@@ -5,9 +5,9 @@ exact; no pivoting heuristics beyond first nonzero entry.  One routine,
 Elimination, reduces columns in order; solve and independent_subset are
 built on it, and graded modules keep one per degree.  Yes/no membership
 (in_span) reads an echelon of the kept columns and needs no inverse; a
-solution needs the row transform, built from the kept columns on first
-use.  Left-nullspace certificates are the rows, below rank, of
-Elimination.transform once it is built.
+solution (solve) reduces the right-hand side against the same echelon and
+back-substitutes through the steps that built it, with at most one
+inverse.
 """
 
 from __future__ import annotations
@@ -75,45 +75,44 @@ class Elimination:
 
     add keeps a column when it is independent of the columns kept so far,
     so the kept columns are the greedy independent choice, and keeps it
-    reduced against the earlier ones in an echelon: fraction-free, as
-    lead * v - v[p] * e, so add needs no inverse.  in_span decides
-    membership in the span from that echelon, at once when the rank is
-    full.  The Gauss-Jordan row transform T, with T * A = RREF(A) for the
-    columns added so far, is built from the kept columns on the first
-    solve (or read of transform) and extended after later adds.  Applying
-    T to a right-hand side b decides b in span(A) and gives the
-    coefficients on the pivot columns of the solution whose free
+    reduced against the earlier ones in an echelon: fraction-free, by steps
+    v -> lead * v - x * e with x = v[p] on the pivot row p of an earlier
+    vector e, so add needs no inverse.  It records those steps.  in_span
+    decides membership in the span from that echelon, at once when the
+    rank is full.  solve reduces a right-hand side the same way and
+    back-substitutes through the recorded steps, last vector first, into
+    the coefficients on the kept columns of the solution whose free
     variables are zero, which is unique.
     """
 
     def __init__(self, nrows: int, field: NumberField):
         self.nrows = nrows
-        # Entries of T that are still the identity's one are this object,
-        # so _apply and the transform step can skip multiplying by them.
-        self._one = field.one()
-        self._zero = field.zero()
-        self._kept: List[List[FieldElement]] = []  # the kept columns, as given
-        # Per kept column: its pivot row, its reduced vector and the entry
-        # there (None when it is one).
+        self.field = field
+        # Per kept column: its pivot row, its reduced vector, the entry
+        # there (None when it is one) and the steps (j, x) that reduced it.
         self._echelon: List[tuple] = []
-        self._transform: Optional[List[List[FieldElement]]] = None
-        self._transform_rank = 0
 
     @property
     def rank(self) -> int:
-        return len(self._kept)
+        return len(self._echelon)
 
     @property
     def full(self) -> bool:
         return self.rank == self.nrows
 
-    def _reduce(self, vec: List[FieldElement]) -> List[FieldElement]:
-        """vec reduced against the echelon: zero exactly when in the span."""
+    def _reduce(self, vec: List[FieldElement], steps: Optional[list] = None) -> List[FieldElement]:
+        """vec reduced against the echelon: zero exactly when in the span.
+
+        Each step v -> lead_j * v - x * e_j taken is appended to steps as
+        (j, x) when steps is a list.
+        """
         v = list(vec)
-        for p, e, lead in self._echelon:
+        for j, (p, e, lead, _) in enumerate(self._echelon):
             x = v[p]
             if not x:
                 continue
+            if steps is not None:
+                steps.append((j, x))
             if lead is not None:
                 v = [lead * a if a else a for a in v]
             for r, b in enumerate(e):
@@ -126,64 +125,50 @@ class Elimination:
         """Keep one more column when it adds a pivot; True when it does."""
         if self.full:
             return False
-        v = self._reduce(col)
+        steps: list = []
+        v = self._reduce(col, steps)
         pivot = next((r for r, x in enumerate(v) if x), None)
         if pivot is None:
             return False
         lead = v[pivot]
-        self._echelon.append((pivot, v, None if lead == self._one else lead))
-        self._kept.append(col)
+        self._echelon.append((pivot, v, None if lead == self.field.one() else lead, steps))
         return True
 
     def in_span(self, vec: List[FieldElement]) -> bool:
         """Whether vec is a combination of the columns added so far."""
         return self.full or not any(self._reduce(vec))
 
-    @property
-    def transform(self) -> List[List[FieldElement]]:
-        """T with T * A = RREF(A); its rows below rank vanish on A."""
-        if self._transform is None:
-            self._transform = [
-                [self._one if r == k else self._zero for k in range(self.nrows)]
-                for r in range(self.nrows)
-            ]
-        while self._transform_rank < self.rank:
-            self._transform_step(self._kept[self._transform_rank])
-        return self._transform
-
-    def _transform_step(self, col: List[FieldElement]) -> None:
-        """One Gauss-Jordan pivot of T on a kept column."""
-        t = self._transform
-        prow = self._transform_rank
-        v = self._apply(t, col)
-        pivot = next(r for r in range(prow, len(t)) if v[r])
-        t[prow], t[pivot] = t[pivot], t[prow]
-        v[prow], v[pivot] = v[pivot], v[prow]
-        if v[prow] != self._one:
-            inv = v[prow].inv()
-            t[prow] = [x * inv if x else x for x in t[prow]]
-        for r, factor in enumerate(v):
-            if r != prow and factor:
-                t[r] = [a - self._times(factor, b) if b else a for a, b in zip(t[r], t[prow])]
-        self._transform_rank += 1
-
-    def _times(self, x: FieldElement, entry: FieldElement) -> FieldElement:
-        return x if entry is self._one else x * entry
-
-    def _apply(self, t, vec: List[FieldElement]) -> List[FieldElement]:
-        """t * vec."""
-        out = [self._zero] * len(t)
-        for k, x in enumerate(vec):
-            if x:
-                for r, row in enumerate(t):
-                    if row[k]:
-                        term = self._times(x, row[k])
-                        out[r] = out[r] + term if out[r] else term
-        return out
-
     def solve(self, rhs: List[FieldElement]) -> Optional[List[FieldElement]]:
         """Coefficients on the pivot columns of the unique solution, or None."""
-        y = self._apply(self.transform, rhs)
-        if any(y[self.rank:]):
+        steps: list = []
+        if any(self._reduce(rhs, steps)):
             return None
-        return y[:self.rank]
+        echelon = self._echelon
+        # Undone last first, the steps write scale * rhs as a combination of
+        # echelon vectors, scale being the product of the leads they met.
+        coeffs = [self.field.zero()] * self.rank
+        scale = None
+        for j, x in reversed(steps):
+            coeffs[j] = x if scale is None else x * scale
+            lead = echelon[j][2]
+            if lead is not None:
+                scale = lead if scale is None else scale * lead
+        # Back-substitution.  By its steps, e_k = P * col_k - the sum of
+        # x * (the leads of its later steps) * e_j, P all their leads; so
+        # c * e_k is c * P on col_k less c times that sum, whose e_j come
+        # later in this loop.
+        for k in range(self.rank - 1, -1, -1):
+            t = coeffs[k]
+            if not t:
+                continue
+            for j, x in reversed(echelon[k][3]):
+                term = x * t
+                coeffs[j] = coeffs[j] - term if coeffs[j] else -term
+                lead = echelon[j][2]
+                if lead is not None:
+                    t = t * lead
+            coeffs[k] = t
+        if scale is None:
+            return coeffs
+        inv = scale.inv()
+        return [c * inv if c else c for c in coeffs]

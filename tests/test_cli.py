@@ -234,3 +234,64 @@ def test_cli_rejects_a_min_poly_with_a_repeated_root(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "input error: min_poly must be square-free\n"
+
+
+_HUGE = "HUGE"  # written to the file as the JSON number 1e400
+
+
+def _with(spec, path, value):
+    """spec with the entry at path (keys and indices) set to value."""
+    if not path:
+        return value
+    target = spec
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return spec
+
+
+@pytest.mark.parametrize(
+    "kind, path, value",
+    [
+        ("curve", ("f", 1, "x"), 2.7),
+        ("curve", ("f", 0, "y"), _HUGE),
+        ("curve", ("f", 0, "coeff"), ["1/0"]),
+        ("curve", (), []),
+        ("module", ("generators", 1, 0, "exp"), 1.5),
+        ("module", ("generators", 0, 0, "exp"), _HUGE),
+        ("module", ("cover", 0, "shifts", 0), _HUGE),
+        ("module", ("generators", 0, 0, "branch"), True),
+        ("module", (), []),
+    ],
+    ids=["x-float", "y-1e400", "coeff-1/0", "curve-list", "exp-float", "exp-1e400",
+         "shift-1e400", "branch-bool", "module-list"],
+)
+def test_cli_rejects_inexact_integers_and_malformed_specs(tmp_path, capsys, kind, path, value):
+    # Truncated, 2.7 and 1.5 would read as the spec's own 2 and 1.
+    entry = catalog_get("Y_3_2")
+    curve = entry.curve()
+    specs = {
+        "curve": io.curve_to_json(curve),
+        "module": io.module_to_json(fixture_modules(entry)[0].module(curve)),
+    }
+    specs[kind] = _with(specs[kind], path, value)
+    paths = {}
+    for name, spec in specs.items():
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(json.dumps(spec).replace('"%s"' % _HUGE, "1e400"))
+    argv = ["module", "--curve", str(paths["curve"]), "--module", str(paths["module"])]
+    for action in (["check"], ["connect", "--samples", "1"]):
+        _assert_clean_input_error(main(argv + action), capsys)
+
+
+def test_cli_connects_the_zero_module(tmp_path, capsys):
+    curve = y_family_curve(3, 2)
+    cpath = _write(tmp_path, "curve.json", io.curve_to_json(curve))
+    mpath = _write(tmp_path, "module.json", {"cover": [{"branch": 1, "shifts": [0]}], "generators": []})
+    argv = ["module", "--curve", cpath, "--module", mpath]
+    assert main(argv + ["check"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["connect", "--samples", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["path"] == "direct-stability"
+    assert report["verified"] == {"leibniz": 0, "graded": 0, "integrable": 0}

@@ -137,6 +137,12 @@ def test_in_span_agrees_with_solve(field):
     def draw():
         return field.element([rng.choice(entries) for _ in range(field.degree)])
 
+    def combination(coeffs, columns, nrows):
+        out = [field.zero()] * nrows
+        for c, col in zip(coeffs, columns):
+            out = [m + c * x for m, x in zip(out, col)]
+        return out
+
     ranks = set()
     for _ in range(300):
         nrows, ncols = rng.randint(0, 5), rng.randint(0, 7)
@@ -144,20 +150,24 @@ def test_in_span_agrees_with_solve(field):
         if ncols > 1 and rng.random() < 0.5:
             # A repeated combination of two columns lowers the rank.
             cols.append([a * draw() + b for a, b in zip(cols[0], cols[1])])
-        matrix = [[col[r] for col in cols] for r in range(nrows)]
         elimination = linalg.Elimination(nrows, field)
-        for col in cols:
-            elimination.add(col)
+        kept = []
+        # Solve before the first add and after every add, so
+        # back-substitution runs at every rank.
+        for n in range(len(cols) + 1):
+            if n and elimination.add(cols[n - 1]):
+                kept.append(n - 1)
+            matrix = [[c[r] for c in cols[:n]] for r in range(nrows)]
+            member = combination([draw() for _ in range(n)], cols[:n], nrows)
+            for rhs in ([draw() for _ in range(nrows)], member):
+                expected = linalg.solve(matrix, rhs, field)
+                assert expected == reference_solve(matrix, rhs, field)[0]
+                coeffs = elimination.solve(rhs)
+                assert elimination.in_span(rhs) is (coeffs is not None)
+                if coeffs is None:
+                    assert rhs is not member and expected is None
+                    continue
+                assert coeffs == [expected[k] for k in kept]
+                assert combination(coeffs, [cols[k] for k in kept], nrows) == rhs
         ranks.add((elimination.rank < nrows, elimination.rank < len(cols)))
-        member = [field.zero()] * nrows
-        for col in cols:
-            c = draw()
-            member = [m + c * x for m, x in zip(member, col)]
-        for rhs in ([draw() for _ in range(nrows)], member):
-            expected = linalg.solve(matrix, rhs, field) is not None
-            assert elimination.in_span(rhs) is expected
-        # The rows of the transform below rank vanish on every column.
-        for y in elimination.transform[elimination.rank:]:
-            for col in cols:
-                assert not sum((a * b for a, b in zip(y, col)), field.zero())
     assert ranks == {(False, False), (False, True), (True, False), (True, True)}
