@@ -16,7 +16,7 @@ from .curve import BranchKind, QuasiCurve
 from .errors import InputError
 from .field import NumberField, QQ
 from .module import FreeCover, GradedSubmodule, ModuleElement
-from .poly import BiPoly, UniPoly
+from .poly import BiPoly
 from .semigroup import gamma_formula, sg_from_generators
 
 # Minimal cyclotomic extensions used by the catalog.
@@ -222,16 +222,6 @@ class FixtureModule:
         return GradedSubmodule(curve, self.cover, list(self.generators))
 
 
-def _elem(curve, entries):
-    return ModuleElement(
-        curve.field,
-        {
-            (i, j): UniPoly.monomial(curve.field, c, e)
-            for (i, j), (c, e) in entries.items()
-        },
-    )
-
-
 def fixture_modules(entry: CatalogEntry) -> List[FixtureModule]:
     """Bundled rank-one fixtures for an entry.
 
@@ -241,7 +231,8 @@ def fixture_modules(entry: CatalogEntry) -> List[FixtureModule]:
     and the maximal-ideal module.
     """
     curve = entry.curve()
-    one = curve.field.one()
+    fld = curve.field
+    one = fld.one()
     fixtures: List[FixtureModule] = []
     if entry.label.startswith("Y_"):
         gamma2 = gamma_formula(curve, 1)
@@ -250,8 +241,8 @@ def fixture_modules(entry: CatalogEntry) -> List[FixtureModule]:
             if gamma2.contains(h):
                 continue
             gens = (
-                _elem(curve, {(0, 0): (one, 0), (1, 0): (one, 0)}),
-                _elem(curve, {(1, 0): (one, h)}),
+                ModuleElement(fld, {(0, 0, 0): one, (1, 0, 0): one}),
+                ModuleElement(fld, {(1, 0, h): one}),
             )
             fixtures.append(FixtureModule("case1_h%d" % h, cover1, gens))
         base = sg_from_generators((curve.wx, curve.wy))
@@ -260,48 +251,27 @@ def fixture_modules(entry: CatalogEntry) -> List[FixtureModule]:
                 continue
             cover2 = FreeCover(((h,), (0,)))
             gens = (
-                _elem(curve, {(0, 0): (one, 0), (1, 0): (one, h)}),
-                _elem(curve, {(1, 0): (one, 0)}),
+                ModuleElement(fld, {(0, 0, 0): one, (1, 0, h): one}),
+                ModuleElement(fld, {(1, 0, 0): one}),
             )
             fixtures.append(FixtureModule("case2_h%d" % h, cover2, gens))
         return fixtures
     # ADE rank-one fixtures: full normalization and the maximal ideal.
     cover = FreeCover(tuple((0,) for _ in range(curve.r)))
-    norm_gens = [
-        ModuleElement(
-            curve.field,
-            {(i, 0): UniPoly.monomial(curve.field, one, 0) for i in range(curve.r)},
-        )
-    ]
+    ones = ModuleElement(fld, {(i, 0, 0): one for i in range(curve.r)})
+    norm_gens = [ones]
     for i in range(curve.r):
         c_i = gamma_formula(curve, i).conductor
         for g in range(1, c_i + 1):
-            norm_gens.append(_elem(curve, {(i, 0): (one, g)}))
+            norm_gens.append(ModuleElement(fld, {(i, 0, g): one}))
     fixtures.append(FixtureModule("normalization", cover, tuple(norm_gens)))
-    nx = curve.monomial_image(1, 0)
-    ny = curve.monomial_image(0, 1)
-    max_gens = []
-    for img in (nx, ny):
-        max_gens.append(
-            ModuleElement(
-                curve.field, {(i, 0): p for i, p in enumerate(img) if p}
-            )
-        )
-    fixtures.append(FixtureModule("maximal_ideal", cover, tuple(max_gens)))
-    # The free cyclic module exercises the C3 shift path.
-    fixtures.append(
-        FixtureModule(
-            "free_cyclic",
-            cover,
-            (
-                ModuleElement(
-                    curve.field,
-                    {
-                        (i, 0): UniPoly.monomial(curve.field, one, 0)
-                        for i in range(curve.r)
-                    },
-                ),
-            ),
-        )
+    max_gens = tuple(
+        ModuleElement(fld, {
+            (i, 0, t[1]): t[0] for i, t in enumerate(curve.monomial_terms(a, b)) if t
+        })
+        for a, b in ((1, 0), (0, 1))
     )
+    fixtures.append(FixtureModule("maximal_ideal", cover, max_gens))
+    # The free cyclic module exercises the C3 shift path.
+    fixtures.append(FixtureModule("free_cyclic", cover, (ones,)))
     return fixtures

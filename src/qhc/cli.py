@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import io
 from .catalog import catalog_get, catalog_labels, fixture_modules
@@ -50,26 +50,19 @@ def _emit_text(value: Any, indent: int, key: Optional[str] = None) -> None:
         print("%s%s%s" % (pad, label, value))
 
 
-def _load_curve(path: str) -> QuasiCurve:
+def _read_json(path: str) -> Any:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise InputError("bad JSON in %s: line %d: %s" % (path, exc.lineno, exc.msg)) from exc
-    return io.curve_from_json(data)
 
 
-def _load_module(path: str, curve: QuasiCurve) -> GradedSubmodule:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise InputError("bad JSON in %s: line %d: %s" % (path, exc.lineno, exc.msg)) from exc
-    return io.module_from_json(curve, data)
+def _condition_rows(holds: Dict[Tuple[int, int], bool]) -> List[Dict[str, Any]]:
+    """A (C1) or (C2) result as report rows with 1-based indices."""
+    return [{"branch": i + 1, "index": j + 1, "holds": v} for (i, j), v in sorted(holds.items())]
 
 
 def _semigroup_report(curve: QuasiCurve, max_degree: Optional[int]) -> Dict[str, Any]:
@@ -125,8 +118,8 @@ def _connect_report(curve: QuasiCurve, M: GradedSubmodule, args) -> Dict[str, An
     out: Dict[str, Any] = {
         "path": report.path,
         "lambda": report.lam,
-        "c1": [{"branch": i + 1, "index": j + 1, "holds": v} for (i, j), v in sorted(report.c1.items())],
-        "c2": [{"branch": i + 1, "index": j + 1, "holds": v} for (i, j), v in sorted(report.c2.items())],
+        "c1": _condition_rows(report.c1),
+        "c2": _condition_rows(report.c2),
         "c3": {"holds": report.c3[0], "lambda": report.c3[1]},
         "module": io.module_to_json(report.module),
         "nablaD_images": [io.element_to_json(img) for img in report.images],
@@ -145,7 +138,7 @@ def _connect_report(curve: QuasiCurve, M: GradedSubmodule, args) -> Dict[str, An
 
 
 def cmd_curve(args) -> int:
-    curve = _load_curve(args.infile)
+    curve = io.curve_from_json(_read_json(args.infile))
     if args.action == "info":
         _emit(io.curve_to_json(curve), args.format)
     elif args.action == "branches":
@@ -175,15 +168,15 @@ def cmd_curve(args) -> int:
 
 
 def cmd_module(args) -> int:
-    curve = _load_curve(args.curve)
-    M = _load_module(args.module, curve)
+    curve = io.curve_from_json(_read_json(args.curve))
+    M = io.module_from_json(curve, _read_json(args.module))
     if args.action == "check":
         Mc = M.canonical_embedding()
         c3_holds, c3_lambda = Mc.check_C3()
         report = {
             "canonical": io.module_to_json(Mc),
-            "c1": [{"branch": i + 1, "index": j + 1, "holds": v} for (i, j), v in sorted(Mc.check_C1().items())],
-            "c2": [{"branch": i + 1, "index": j + 1, "holds": v} for (i, j), v in sorted(Mc.check_C2().items())],
+            "c1": _condition_rows(Mc.check_C1()),
+            "c2": _condition_rows(Mc.check_C2()),
             "c3": {"holds": c3_holds, "lambda": c3_lambda},
         }
         _emit(report, args.format)

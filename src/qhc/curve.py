@@ -1,9 +1,12 @@
 """Quasi-homogeneous plane curves k[x,y]/(f).
 
 Weight inference, factorization of f into axis and binomial branches,
-per-branch normalization maps into k[t_i], and exact graded membership
-in the image of the normalization, decided by the graded module kernel
-(module.coordinate_ring, the cyclic module A*(1,...,1)).
+per-branch normalization maps into k[t_i], whose image of a monomial is
+one cached term c*t_i^e per branch (monomial_terms; QuasiCurve.create
+checks n_i(f) = 0 from these terms), and exact graded membership in the
+image of the normalization with a witness (image_membership), decided by
+the graded module kernel (module.coordinate_ring, the cyclic module
+A*(1,...,1)).
 """
 
 from __future__ import annotations
@@ -363,8 +366,7 @@ class QuasiCurve:
                 raise InputError("branch product does not match f")
             blist = _order_branches(blist)
         curve = QuasiCurve(field, wx, wy, f, wf, unit, tuple(blist))
-        for i, br in enumerate(curve.branches):
-            img = f.evaluate(br.nx, br.ny)
+        for i, img in enumerate(curve.normalization_image(f)):
             if img:
                 raise ConsistencyError("n_%d(f) != 0" % (i + 1))
         return curve
@@ -435,23 +437,11 @@ class QuasiCurve:
         or None when the vector is not in the image of A, as decided by
         membership in module.coordinate_ring(self), the cyclic A*(1,...,1).
         """
-        ring, v = self._ring_element(target, w)
-        witness = None if v is None else ring.contains(v)
-        return None if witness is None else [(ab, c) for _, ab, c in witness]
-
-    def in_image(self, target: Sequence[UniPoly], w: int) -> bool:
-        """image_membership(target, w) is not None, without the witness."""
-        ring, v = self._ring_element(target, w)
-        return v is not None and ring.is_member(v)
-
-    def _ring_element(self, target: Sequence[UniPoly], w: int):
-        """coordinate_ring(self) and target as an element of its cover, or
-        None for the element when a term of target is not of degree w."""
         # module imports this module, so the import waits until first use.
         from .module import _of, coordinate_ring
 
-        ring = coordinate_ring(self)
         coeffs = {(i, 0, e): c for i, p in enumerate(target) for e, c in p.terms}
         if any(e * self.branches[i].t_degree != w for i, _, e in coeffs):
-            return ring, None
-        return ring, _of(self.field, coeffs)
+            return None
+        witness = coordinate_ring(self).contains(_of(self.field, coeffs))
+        return None if witness is None else [(ab, c) for _, ab, c in witness]

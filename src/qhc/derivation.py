@@ -9,11 +9,11 @@ branch from the chain rule and cross-checked on the other coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .curve import BranchKind, QuasiCurve
 from .errors import ConsistencyError, InputError
-from .field import FieldElement
+from .module import _of, coordinate_ring, element_degrees
 from .poly import BiPoly, UniPoly
 from .semigroup import gamma_formula
 
@@ -48,12 +48,6 @@ class QElement:
 
     coeffs: tuple  # FieldElement per branch
     exps: tuple  # g_i per branch
-
-    def as_vector(self) -> Tuple[UniPoly, ...]:
-        """q as (c_i t_i^{g_i})_i."""
-        return tuple(
-            UniPoly.monomial(c.field, c, e) for c, e in zip(self.coeffs, self.exps)
-        )
 
 
 def euler(curve: QuasiCurve) -> DerivationOnA:
@@ -163,14 +157,15 @@ def _compute_q(curve: QuasiCurve) -> QElement:
     q = QElement(tuple(coeffs), tuple(exps))
     # ~D = q * ~E componentwise
     ext_e = extend(curve, euler(curve))
-    qvec = q.as_vector()
     for i in range(curve.r):
-        if qvec[i] * ext_e.deltas[i] != ext_d.deltas[i]:
+        if UniPoly.monomial(fld, coeffs[i], exps[i]) * ext_e.deltas[i] != ext_d.deltas[i]:
             raise ConsistencyError("~D != q*~E on branch %d" % (i + 1))
-    # q in (A:m): q*n(x) and q*n(y) are in the image of A
+    # q in (A:m): q*n(x) and q*n(y) are elements of A of degree lam + w_x, lam + w_y
+    ring = coordinate_ring(curve)
     lam = curve.wf - curve.wx - curve.wy
-    for h, wh in ((curve.monomial_image(1, 0), curve.wx), (curve.monomial_image(0, 1), curve.wy)):
-        prod = [qv * hv for qv, hv in zip(qvec, h)]
-        if not curve.in_image(prod, lam + wh):
+    for (a, b), wh in (((1, 0), curve.wx), ((0, 1), curve.wy)):
+        terms = zip(coeffs, exps, curve.monomial_terms(a, b))
+        v = _of(fld, {(i, 0, g + t[1]): c * t[0] for i, (c, g, t) in enumerate(terms) if t})
+        if not element_degrees(curve, ring.cover, v) <= {lam + wh} or not ring.is_member(v):
             raise ConsistencyError("q*m does not land in A")
     return q

@@ -14,7 +14,7 @@ from .curve import Branch, BranchKind, QuasiCurve
 from .errors import InputError
 from .field import FieldElement, NumberField, as_fraction, element_from_json, fraction_str
 from .module import FreeCover, GradedSubmodule, ModuleElement, Witness
-from .poly import BiPoly, UniPoly
+from .poly import BiPoly
 
 
 def _integer(value: Any, name: str) -> int:
@@ -80,30 +80,31 @@ def module_from_json(curve: QuasiCurve, data: Dict[str, Any]) -> GradedSubmodule
     if not isinstance(data, dict):
         raise InputError("a ModuleSpec must be a JSON object")
     try:
-        shifts: List[tuple] = [() for _ in range(curve.r)]
+        shifts: Dict[int, tuple] = {}
         for row in data["cover"]:
             i = _integer(row["branch"], "branch") - 1
             if not 0 <= i < curve.r:
                 raise InputError("cover branch index %d out of range" % (i + 1))
+            if i in shifts:
+                raise InputError("cover row for branch %d given twice" % (i + 1))
             shifts[i] = tuple(_integer(s, "shift") for s in row["shifts"])
-        cover = FreeCover(tuple(shifts))
+        cover = FreeCover(tuple(shifts.get(i, ()) for i in range(curve.r)))
         generators = []
         for gen in data["generators"]:
-            entries: Dict[tuple, UniPoly] = {}
+            # Repeated (branch, index, exp) terms add up.
+            coeffs: Dict[tuple, FieldElement] = {}
             for term in gen:
                 i = _integer(term["branch"], "branch") - 1
                 j = _integer(term["index"], "index") - 1
-                if not (0 <= i < curve.r and 0 <= j < len(shifts[i])):
+                if not (0 <= i < curve.r and 0 <= j < len(cover.shifts[i])):
                     raise InputError(
                         "generator term (branch %d, index %d) is not a cover slot"
                         % (i + 1, j + 1)
                     )
                 coeff = element_from_json(curve.field, term["coeff"])
-                exp = _integer(term["exp"], "exp")
-                mono = UniPoly.monomial(curve.field, coeff, exp)
-                key = (i, j)
-                entries[key] = entries.get(key, UniPoly.zero(curve.field)) + mono
-            generators.append(ModuleElement(curve.field, entries))
+                key = (i, j, _integer(term["exp"], "exp"))
+                coeffs[key] = coeffs[key] + coeff if key in coeffs else coeff
+            generators.append(ModuleElement(curve.field, coeffs))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("malformed ModuleSpec: %s" % exc) from exc
     return GradedSubmodule(curve, cover, generators)

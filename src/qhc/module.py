@@ -11,12 +11,13 @@ piece: GradedSubmodule.is_member says yes or no (at once on a piece of
 full rank), and GradedSubmodule.contains also returns the witness, which
 only the stability check of the connection and image_membership ask for.
 
-A ModuleElement is a sparse vector over the cover coordinates
-(branch, slot, t-exponent), the same keys that index a degree piece, so
-sums, scalings, the action of a monomial image, the span columns of a
-piece (written from the curve's monomial_terms), the coordinates of a
-membership question and the column reduction of the canonical embedding
-are coefficient operations with no polynomial built.
+A ModuleElement is built, stored and read as a sparse vector over the
+cover coordinates (branch, slot, t-exponent), the same keys that index a
+degree piece and that a ModuleSpec lists, so sums, scalings, the action
+of a monomial image, the span columns of a piece (written from the
+curve's monomial_terms), the coordinates of a membership question and
+the column reduction of the canonical embedding are coefficient
+operations with no polynomial built.
 """
 
 from __future__ import annotations
@@ -78,24 +79,17 @@ class ModuleElement:
 
     No zero is stored, so equality is structural; a product of nonzero
     coefficients is nonzero (the field has no zero divisors).  The
-    constructor takes the (branch, slot) -> UniPoly map ``entries`` gives.
+    constructor takes such a map, drops its zeros and rejects a negative
+    exponent.
     """
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field, entries: Dict[Tuple[int, int], UniPoly]):
+    def __init__(self, field, coeffs: Dict[Tuple[int, int, int], FieldElement]):
+        if any(e < 0 for _, _, e in coeffs):
+            raise InputError("negative exponent in k[t]")
         self.field = field
-        self.coeffs = {
-            (i, j, e): c for (i, j), p in entries.items() for e, c in p.terms if c
-        }
-
-    @property
-    def entries(self) -> Dict[Tuple[int, int], UniPoly]:
-        """The (branch, slot) -> UniPoly view of the coefficients."""
-        slots: Dict[Tuple[int, int], Dict[int, FieldElement]] = {}
-        for (i, j, e), c in self.coeffs.items():
-            slots.setdefault((i, j), {})[e] = c
-        return {k: UniPoly.make(self.field, d) for k, d in slots.items()}
+        self.coeffs = {k: c for k, c in coeffs.items() if c}
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -153,8 +147,8 @@ class ModuleElement:
         if not self.coeffs:
             return "0"
         return " + ".join(
-            "(%s)*e_%d%d" % (p, i + 1, j + 1)
-            for (i, j), p in sorted(self.entries.items())
+            "(%s)*t^%d*e_%d%d" % (c, e, i + 1, j + 1)
+            for (i, j, e), c in sorted(self.coeffs.items())
         )
 
 
@@ -191,9 +185,7 @@ def homogeneous_components(
 
 
 def basis_element(curve: QuasiCurve, i: int, j: int, exp: int = 0) -> ModuleElement:
-    if exp < 0:
-        raise InputError("negative exponent in k[t]")
-    return _of(curve.field, {(i, j, exp): curve.field.one()})
+    return ModuleElement(curve.field, {(i, j, exp): curve.field.one()})
 
 
 # A witness term is (generator index, (x-exp, y-exp), coefficient):
@@ -444,7 +436,8 @@ def coordinate_ring(curve: QuasiCurve) -> GradedSubmodule:
     """A as the cyclic module A*(1,...,1) on the cover ((0,),...,(0,)).
 
     Built once per curve and kept on it, so each degree piece is
-    eliminated once; QuasiCurve.in_image and image_membership ask it.
+    eliminated once; derivation.q_element, semigroup.gamma_oracle and
+    image_membership ask it.
     """
     ring = curve._derived.get("coordinate_ring")
     if ring is None:

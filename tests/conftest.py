@@ -8,7 +8,7 @@ import pytest
 
 from qhc.curve import QuasiCurve
 from qhc.field import QQ
-from qhc.poly import BiPoly
+from qhc.poly import BiPoly, UniPoly
 
 
 def rational_poly(field, terms):
@@ -16,6 +16,11 @@ def rational_poly(field, terms):
     return BiPoly.make(
         field, {k: field.from_rational(Fraction(v)) for k, v in terms.items()}
     )
+
+
+def q_vector(q):
+    """q as the vector (c_i t_i^{g_i})_i of UniPoly."""
+    return tuple(UniPoly.monomial(c.field, c, e) for c, e in zip(q.coeffs, q.exps))
 
 
 def y_family_curve(m, n):

@@ -22,6 +22,7 @@ from qhc.semigroup import gamma_formula, gamma_oracle, sg_from_generators
 
 from conftest import (
     cusp_curve,
+    q_vector,
     random_reduced_curve,
     rational_poly,
     y_family_curve,
@@ -111,7 +112,7 @@ def test_criterion_4_q_element_identities(gate):
     def body():
         for label, curve in _all_catalog_curves():
             q = q_element(curve)  # self-verifies both identities
-            qvec = q.as_vector()
+            qvec = q_vector(q)
             ext_e = extend(curve, euler(curve))
             ext_d = extend(curve, koszul(curve))
             for i in range(curve.r):

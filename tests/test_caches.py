@@ -23,6 +23,7 @@ from qhc.module import ModuleElement, basis_element, coordinate_ring
 from qhc.poly import BiPoly, UniPoly, monomials_of_weight
 
 from test_linalg import reference_independent_subset, reference_solve
+from test_module import entries_of
 
 # Every ADE entry (over Q, Q(i), Q(zeta8), Q(zeta12)) and Y entries, whose
 # y-axis branch has a vanishing x-image.
@@ -54,7 +55,7 @@ def _reference_span(M, w):
 def _reference_coords(M, v, slots):
     index = {s: pos for pos, s in enumerate(slots)}
     vec = [M.curve.field.zero()] * len(slots)
-    for (i, j), p in v.entries.items():
+    for (i, j), p in entries_of(v).items():
         for e, c in p.terms:
             if (i, j, e) not in index:
                 return None

@@ -40,6 +40,36 @@ def test_extension_curve_spec_round_trip():
     assert again.field == curve.field
 
 
+def test_repeated_module_spec_terms_add_up():
+    curve = y_family_curve(3, 2)
+    one, two = curve.field.one(), curve.field.from_rational(2)
+    spec = io.module_to_json(case1_module(curve, 3))
+    spec["generators"][1] *= 2  # t_2^3 e_21 listed twice
+    spec["generators"][0].append({"branch": 1, "index": 1, "coeff": ["-1/1"], "exp": 0})
+    M = io.module_from_json(curve, spec)
+    assert [g.coeffs for g in M.generators] == [{(1, 0, 0): one}, {(1, 0, 3): two}]
+    # Terms that cancel leave a zero generator, which is rejected.
+    spec["generators"][0].append({"branch": 2, "index": 1, "coeff": ["-1/1"], "exp": 0})
+    with pytest.raises(InputError, match="zero generator is not allowed"):
+        io.module_from_json(curve, spec)
+
+
+def test_negative_exponent_in_a_module_spec_rejected():
+    curve = y_family_curve(3, 2)
+    spec = io.module_to_json(case1_module(curve, 3))
+    spec["generators"][1].append({"branch": 1, "index": 1, "coeff": ["0/1"], "exp": -1})
+    with pytest.raises(InputError, match="negative exponent in k\\[t\\]"):
+        io.module_from_json(curve, spec)
+
+
+def test_cover_row_given_twice_rejected():
+    curve = y_family_curve(3, 2)
+    spec = io.module_to_json(case1_module(curve, 3))
+    spec["cover"].append({"branch": 1, "shifts": [0, 1]})
+    with pytest.raises(InputError, match="cover row for branch 1 given twice"):
+        io.module_from_json(curve, spec)
+
+
 def test_module_spec_round_trip():
     curve = y_family_curve(3, 2)
     M = case1_module(curve, 3)
@@ -262,9 +292,11 @@ def _with(spec, path, value):
         ("module", ("cover", 0, "shifts", 0), _HUGE),
         ("module", ("generators", 0, 0, "branch"), True),
         ("module", (), []),
+        ("module", ("cover",), [{"branch": 1, "shifts": [0]}, {"branch": 2, "shifts": [0]},
+                                {"branch": 1, "shifts": [0, 1]}]),
     ],
     ids=["x-float", "y-1e400", "coeff-1/0", "curve-list", "exp-float", "exp-1e400",
-         "shift-1e400", "branch-bool", "module-list"],
+         "shift-1e400", "branch-bool", "module-list", "cover-row-twice"],
 )
 def test_cli_rejects_inexact_integers_and_malformed_specs(tmp_path, capsys, kind, path, value):
     # Truncated, 2.7 and 1.5 would read as the spec's own 2 and 1.

@@ -22,15 +22,13 @@ from qhc.module import FreeCover, GradedSubmodule, ModuleElement, homogeneous_co
 from qhc.poly import UniPoly
 
 from conftest import cusp_curve, y_family_curve
-from test_module import case1_module, case2_module, unstable_cusp_module
-
-
-def _t(exp, coeff=1):
-    return UniPoly.monomial(QQ, QQ.from_rational(Fraction(coeff)), exp)
+from test_module import case1_module, case2_module, element_of, entries_of, unstable_cusp_module
 
 
 def _elem(entries):
-    return ModuleElement(QQ, {k: _t(e, c) for k, (c, e) in entries.items()})
+    return ModuleElement(
+        QQ, {(i, j, e): QQ.from_rational(Fraction(c)) for (i, j), (c, e) in entries.items()}
+    )
 
 
 def test_nabla_e_scales_by_weight():
@@ -173,7 +171,7 @@ def test_reports_are_deterministic():
 
 def reference_components(curve, cover, v):
     comps = {}
-    for (i, j), p in v.entries.items():
+    for (i, j), p in entries_of(v).items():
         d_i = curve.branches[i].t_degree
         f_ij = cover.shifts[i][j]
         for e, c in p.terms:
@@ -181,7 +179,7 @@ def reference_components(curve, cover, v):
             slot = comps.setdefault(w, {})
             mono = UniPoly.monomial(curve.field, c, e)
             slot[(i, j)] = slot.get((i, j), UniPoly.zero(curve.field)) + mono
-    return {w: ModuleElement(curve.field, d) for w, d in sorted(comps.items())}
+    return {w: element_of(curve.field, d) for w, d in sorted(comps.items())}
 
 
 def reference_nabla_E(curve, cover, v):

@@ -18,7 +18,7 @@ from qhc.errors import InputError
 from qhc.field import QQ
 from qhc.poly import BiPoly, UniPoly, monomials_of_weight
 
-from conftest import cusp_curve, rational_poly, y_family_curve
+from conftest import cusp_curve, q_vector, rational_poly, y_family_curve
 
 
 def _t(exp, coeff=1):
@@ -131,20 +131,17 @@ def test_q_element_weight_identity():
 def test_q_vector_and_equality():
     curve = y_family_curve(3, 2)
     q = q_element(curve)
-    qvec = q.as_vector()
-    assert isinstance(qvec, tuple)
-    assert list(qvec) == [
-        UniPoly.monomial(curve.field, c, e) for c, e in zip(q.coeffs, q.exps)
-    ]
+    # q = ((1/3) t_1, -t_2^3): q*n(x) is ((1/3) t_1^2, -t_2^6) below.
+    assert q_vector(q) == (_t(1, Fraction(1, 3)), _t(3, -1))
     again = QElement(q.coeffs, q.exps)
     assert again == q and hash(again) == hash(q)
-    assert again.as_vector() == qvec
+    assert q_vector(again) == q_vector(q)
 
 
 def test_q_times_x_lands_in_the_image():
     curve = y_family_curve(3, 2)
     q = q_element(curve)
-    qvec = q.as_vector()
+    qvec = q_vector(q)
     nx = curve.monomial_image(1, 0)
     prod = [a * b for a, b in zip(qvec, nx)]
     witness = curve.image_membership(prod, curve.wf - curve.wy)

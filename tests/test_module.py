@@ -32,7 +32,23 @@ def _t(exp, coeff=1):
 
 
 def _elem(entries):
-    return ModuleElement(QQ, {k: _t(e, c) for k, (c, e) in entries.items()})
+    """The element sum c t_i^e e_ij over entries (i, j) -> (c, e)."""
+    return ModuleElement(
+        QQ, {(i, j, e): QQ.from_rational(Fraction(c)) for (i, j), (c, e) in entries.items()}
+    )
+
+
+def entries_of(v):
+    """The (branch, slot) -> UniPoly view of v's cover coordinates."""
+    slots = {}
+    for (i, j, e), c in v.coeffs.items():
+        slots.setdefault((i, j), {})[e] = c
+    return {k: UniPoly.make(v.field, d) for k, d in slots.items()}
+
+
+def element_of(field, entries):
+    """The element with the (branch, slot) -> UniPoly entries."""
+    return ModuleElement(field, {(i, j, e): c for (i, j), p in entries.items() for e, c in p.terms})
 
 
 def case1_module(curve, h):
@@ -208,7 +224,7 @@ def reference_canonical_embedding(M):
     field = M.curve.field
 
     def branch_projection(gen, i, rank):
-        entries = gen.entries
+        entries = entries_of(gen)
         return [entries.get((i, j), UniPoly.zero(field)) for j in range(rank)]
 
     new_shifts = []
@@ -279,7 +295,7 @@ def reference_canonical_embedding(M):
                 entries[(i, new_j)] = q
             if any(p):
                 raise ConsistencyError("projection not reduced to zero")
-        new_gens.append(ModuleElement(field, entries))
+        new_gens.append(element_of(field, entries))
     return FreeCover(tuple(new_shifts)), new_gens
 
 
@@ -326,7 +342,7 @@ def random_module(rng, curve):
                 if delta >= 0 and delta % d_i == 0:
                     slots.append((i, j, delta // d_i))
         generators.append(ModuleElement(field, {
-            (i, j): UniPoly.monomial(field, field.from_rational(rng.choice((1, -1, 2))), e)
+            (i, j, e): field.from_rational(rng.choice((1, -1, 2)))
             for i, j, e in rng.sample(slots, rng.randint(1, len(slots)))
         }))
     return GradedSubmodule(curve, cover, generators)
@@ -549,8 +565,8 @@ class ReferenceElement:
         if not self.entries:
             return "0"
         return " + ".join(
-            "(%s)*e_%d%d" % (p, i + 1, j + 1)
-            for (i, j), p in sorted(self.entries.items())
+            "(%s)*t^%d*e_%d%d" % (c, e, i + 1, j + 1)
+            for (i, j), p in sorted(self.entries.items()) for e, c in p.terms
         )
 
 
@@ -573,13 +589,13 @@ def reference_components(curve, cover, v):
 
 
 def _as_reference(v):
-    return ReferenceElement(v.field, v.entries)
+    return ReferenceElement(v.field, entries_of(v))
 
 
 def _assert_matches(v, ref):
     assert isinstance(v, ModuleElement)
     assert all(v.coeffs.values()), "a zero coefficient is stored"
-    assert v.entries == ref.entries
+    assert entries_of(v) == ref.entries
     assert str(v) == str(ref)
     assert bool(v) == bool(ref.entries)
 
@@ -624,7 +640,8 @@ def test_flat_coordinates_match_the_unipoly_reference(label, rng):
                 mixed = a + _random_homogeneous(rng, M, wb)
                 assert len(element_degrees(curve, cover, mixed)) == 2
                 for v in (a, b, mixed):
-                    assert ModuleElement(field, v.entries) == v
+                    assert ModuleElement(field, v.coeffs) == v
+                    assert element_of(field, entries_of(v)) == v
                     _assert_matches(v, _as_reference(v))
                 ra, rb, rm = _as_reference(a), _as_reference(b), _as_reference(mixed)
                 c = _random_scalar(rng, field)
@@ -657,32 +674,39 @@ def test_flat_coordinates_match_the_unipoly_reference(label, rng):
 def test_no_zero_coefficient_survives_cancellation():
     curve = y_family_curve(3, 2)
     one = QQ.one()
-    v = ModuleElement(QQ, {(0, 0): _t(0) + _t(1), (1, 0): _t(2)})
+    v = ModuleElement(QQ, {(0, 0, 0): one, (0, 0, 1): one, (1, 0, 2): one})
     assert not (v + (-v)).coeffs and not (v - v).coeffs
-    w = ModuleElement(QQ, {(0, 0): _t(1, -1)})
+    w = ModuleElement(QQ, {(0, 0, 1): -one})
     assert (v + w).coeffs == {(0, 0, 0): one, (1, 0, 2): one}
-    assert (v - ModuleElement(QQ, {(1, 0): _t(2)})).coeffs == {(0, 0, 0): one, (0, 0, 1): one}
+    assert (v - ModuleElement(QQ, {(1, 0, 2): one})).coeffs == {(0, 0, 0): one, (0, 0, 1): one}
     # (1 + t) * (1 - t) = 1 - t^2: the t term cancels in the convolution.
     image = [_t(0) - _t(1), _t(0) + _t(3)]
     prod = v.act(image)
     assert prod.coeffs == {(0, 0, 0): one, (0, 0, 2): -one, (1, 0, 2): one, (1, 0, 5): one}
-    assert prod.entries == ReferenceElement(QQ, v.entries).act(image).entries
+    assert entries_of(prod) == _as_reference(v).act(image).entries
     # A zero branch image empties that branch.
     assert v.act([UniPoly.zero(QQ), _t(1)]).coeffs == {(1, 0, 3): one}
-    # The constructor drops zero polynomials.
-    assert ModuleElement(QQ, {(0, 0): UniPoly.zero(QQ)}).coeffs == {}
+    # The constructor drops zero coefficients.
+    assert ModuleElement(QQ, {(0, 0, 0): QQ.zero()}).coeffs == {}
     assert not homogeneous_components(curve, FreeCover(((0,), (0,))), v + (-v))
 
 
-def test_entries_is_a_read_only_view():
-    v = _elem({(0, 0): (2, 1), (1, 0): (1, 0)})
-    assert v.entries == {(0, 0): _t(1, 2), (1, 0): _t(0)}
-    v.entries[(0, 0)] = _t(5)
-    assert v.entries[(0, 0)] == _t(1, 2)
-    with pytest.raises(AttributeError):
-        v.entries = {}
+def test_constructor_copies_and_checks_its_coordinates():
+    two = QQ.from_rational(2)
+    coeffs = {(0, 0, 1): two, (1, 0, 0): QQ.one(), (1, 0, 4): QQ.zero()}
+    v = ModuleElement(QQ, coeffs)
+    assert v.coeffs == {(0, 0, 1): two, (1, 0, 0): QQ.one()}
+    assert v == _elem({(0, 0): (2, 1), (1, 0): (1, 0)})
+    coeffs[(0, 0, 1)] = QQ.one()
+    assert v.coeffs[(0, 0, 1)] == two
+    assert str(v) == "(2)*t^1*e_11 + (1)*t^0*e_21"
+    assert str(ModuleElement(QQ, {})) == "0"
     with pytest.raises(AttributeError):
         v.degree = 3
+    # A negative exponent is rejected, with a zero coefficient too.
+    for c in (QQ.one(), QQ.zero()):
+        with pytest.raises(InputError, match="negative exponent in k\\[t\\]"):
+            ModuleElement(QQ, {(0, 0, 0): QQ.one(), (1, 0, -1): c})
 
 
 @pytest.mark.parametrize(
@@ -695,9 +719,7 @@ def test_nabla_of_zero_and_of_degree_zero_is_zero(make_curve):
     cover = FreeCover(tuple((0,) for _ in range(curve.r)))
     q = q_element(curve)
     zero = ModuleElement(field, {})
-    degree_zero = ModuleElement(field, {
-        (i, 0): UniPoly.monomial(field, field.from_rational(i + 1), 0) for i in range(curve.r)
-    })
+    degree_zero = ModuleElement(field, {(i, 0, 0): field.from_rational(i + 1) for i in range(curve.r)})
     assert element_degree(curve, cover, degree_zero) == 0
     for v in (zero, degree_zero):
         assert apply_nabla_E(curve, cover, v) == zero
