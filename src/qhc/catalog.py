@@ -265,12 +265,7 @@ def fixture_modules(entry: CatalogEntry) -> List[FixtureModule]:
         for g in range(1, c_i + 1):
             norm_gens.append(ModuleElement(fld, {(i, 0, g): one}))
     fixtures.append(FixtureModule("normalization", cover, tuple(norm_gens)))
-    max_gens = tuple(
-        ModuleElement(fld, {
-            (i, 0, t[1]): t[0] for i, t in enumerate(curve.monomial_terms(a, b)) if t
-        })
-        for a, b in ((1, 0), (0, 1))
-    )
+    max_gens = tuple(ones.act(curve.monomial_terms(a, b)) for a, b in ((1, 0), (0, 1)))
     fixtures.append(FixtureModule("maximal_ideal", cover, max_gens))
     # The free cyclic module exercises the C3 shift path.
     fixtures.append(FixtureModule("free_cyclic", cover, (ones,)))

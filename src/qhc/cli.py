@@ -25,6 +25,7 @@ from .derivation import extend, euler, koszul, koszul_data, q_element
 from .errors import ConsistencyError, InputError, QhcError
 from .field import fraction_str
 from .module import GradedSubmodule
+from .poly import term_str
 from .semigroup import gamma_formula, gamma_oracle, is_symmetric
 
 
@@ -100,7 +101,7 @@ def _derivation_report(curve: QuasiCurve) -> Dict[str, Any]:
                 "beta": data.betas[i].to_json(),
                 "c": data.conductors[i],
                 "g": q.exps[i],
-                "delta": str(ext.deltas[i]),
+                "delta": term_str(ext.deltas[i]),
             }
         )
     return {
@@ -153,8 +154,8 @@ def cmd_curve(args) -> int:
                     "weight": br.weight,
                     "t_degree": br.t_degree,
                     "branch_conductor": br.conductor,
-                    "n_x": str(br.nx),
-                    "n_y": str(br.ny),
+                    "n_x": term_str(br.nx),
+                    "n_y": term_str(br.ny),
                 }
                 for i, br in enumerate(curve.branches)
             ],
@@ -305,6 +306,8 @@ def main(argv=None) -> int:
     try:
         if args.max_degree is not None and args.max_degree < 0:
             raise InputError("--max-degree must be nonnegative")
+        if args.max_degree is not None and args.max_degree > io.DEGREE_BUDGET:
+            raise InputError("--max-degree %d is above the budget %d" % (args.max_degree, io.DEGREE_BUDGET))
         if args.samples < 0:
             raise InputError("--samples must be nonnegative")
         return args.func(args)

@@ -1,12 +1,12 @@
 """Quasi-homogeneous plane curves k[x,y]/(f).
 
 Weight inference, factorization of f into axis and binomial branches,
-per-branch normalization maps into k[t_i], whose image of a monomial is
-one cached term c*t_i^e per branch (monomial_terms; QuasiCurve.create
-checks n_i(f) = 0 from these terms), and exact graded membership in the
-image of the normalization with a witness (image_membership), decided by
-the graded module kernel (module.coordinate_ring, the cyclic module
-A*(1,...,1)).
+per-branch normalization maps into k[t_i], and exact graded membership in
+the image of the normalization with a witness (image_membership), decided
+by the graded module kernel (module.coordinate_ring, the cyclic module
+A*(1,...,1)).  A branch image is a term (c, e), meaning c*t_i^e, or None
+where it vanishes: n_i(x), n_i(y), the image of a monomial (monomial_terms)
+and of a homogeneous h (normalization_image) are all one term per branch.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class Branch:
     weight: int  # w_i = deg(f_i)
     t_degree: int  # d_i = deg(t_i)
     conductor: int  # c(A_i)
-    nx: UniPoly  # n_i(x)
-    ny: UniPoly  # n_i(y)
+    nx: Optional[tuple]  # n_i(x) as a term (c, e), None where it vanishes
+    ny: Optional[tuple]  # n_i(y) likewise
 
     def poly(self, field: NumberField, wx: int, wy: int) -> BiPoly:
         if self.kind is BranchKind.AXIS_X:
@@ -63,21 +63,17 @@ def _make_branch(
     b: Optional[FieldElement] = None,
 ) -> Branch:
     one = field.one()
-    t = UniPoly.monomial(field, one, 1)
-    zero = UniPoly.zero(field)
     if kind is BranchKind.AXIS_X:
-        return Branch(kind, None, None, wx, wy, 0, zero, t)
+        return Branch(kind, None, None, wx, wy, 0, None, (one, 1))
     if kind is BranchKind.AXIS_Y:
-        return Branch(kind, None, None, wy, wx, 0, t, zero)
+        return Branch(kind, None, None, wy, wx, 0, (one, 1), None)
     if a is None or b is None:
         raise InputError("binomial branch needs both a and b")
     if not a:
         raise InputError("binomial coefficient a must be nonzero")
     if a * b ** wx != -one:
         raise InputError("branch data violates a*b^w_x = -1")
-    nx = UniPoly.monomial(field, one, wx)
-    ny = UniPoly.monomial(field, b, wy)
-    return Branch(kind, a, b, wx * wy, 1, branch_conductor(kind, wx, wy), nx, ny)
+    return Branch(kind, a, b, wx * wy, 1, branch_conductor(kind, wx, wy), (one, wx), (b, wy))
 
 
 def infer_weights(f: BiPoly) -> Tuple[int, int]:
@@ -247,7 +243,8 @@ def factor(
             branches.append(
                 _make_branch(BranchKind.BINOMIAL, field, wx, wy, a_val, b_val)
             )
-    _verify_product(f, unit, branches, field, wx, wy)
+    if _branch_product(branches, field, wx, wy).scale(unit) != f:
+        raise ConsistencyError("branch product does not expand to f")
     return unit, _order_branches(branches)
 
 
@@ -296,18 +293,6 @@ def _branch_product(
     for br in branches:
         prod = prod * br.poly(field, wx, wy)
     return prod
-
-
-def _verify_product(
-    f: BiPoly,
-    unit: FieldElement,
-    branches: List[Branch],
-    field: NumberField,
-    wx: int,
-    wy: int,
-) -> None:
-    if _branch_product(branches, field, wx, wy).scale(unit) != f:
-        raise ConsistencyError("branch product does not expand to f")
 
 
 @dataclass(frozen=True)
@@ -367,7 +352,7 @@ class QuasiCurve:
             blist = _order_branches(blist)
         curve = QuasiCurve(field, wx, wy, f, wf, unit, tuple(blist))
         for i, img in enumerate(curve.normalization_image(f)):
-            if img:
+            if img is not None:
                 raise ConsistencyError("n_%d(f) != 0" % (i + 1))
         return curve
 
@@ -375,15 +360,22 @@ class QuasiCurve:
     def r(self) -> int:
         return len(self.branches)
 
-    def normalization_image(self, h: BiPoly) -> List[UniPoly]:
-        """n(h): the per-branch images under the normalization map."""
-        per_branch: List[dict] = [{} for _ in self.branches]
+    def normalization_image(self, h: BiPoly) -> tuple:
+        """n(h) for a homogeneous h, whose monomials share one exponent per
+        branch: their terms add.  A zero h maps to None on every branch; a
+        mixed h raises NotHomogeneousError."""
+        if not h:
+            return (None,) * self.r
+        h.weighted_degree(self.wx, self.wy)
+        coeffs = [None] * self.r
+        exps = [0] * self.r
         for (a, b), c in h.terms:
-            for acc, term in zip(per_branch, self.monomial_terms(a, b)):
+            for i, term in enumerate(self.monomial_terms(a, b)):
                 if term is not None:
-                    v, e = term
-                    acc[e] = acc[e] + c * v if e in acc else c * v
-        return [UniPoly.make(self.field, acc) for acc in per_branch]
+                    v = c * term[0]
+                    coeffs[i] = v if coeffs[i] is None else coeffs[i] + v
+                    exps[i] = term[1]
+        return tuple((c, e) if c else None for c, e in zip(coeffs, exps))
 
     def monomial_terms(self, xe: int, ye: int) -> tuple:
         """n(x^xe y^ye) as one term (c, e), meaning c*t_i^e, per branch,
@@ -408,12 +400,12 @@ class QuasiCurve:
 
     def _branch_term(self, br: Branch, xe: int, ye: int):
         coeff, exp = None, 0
-        for p, k in ((br.nx, xe), (br.ny, ye)):
+        for term, k in ((br.nx, xe), (br.ny, ye)):
             if not k:
                 continue
-            if not p:
+            if term is None:
                 return None
-            c, e = p.monomial_parts()
+            c, e = term
             ck = self._power(c, k)
             coeff, exp = ck if coeff is None else coeff * ck, exp + e * k
         return (self.field.one() if coeff is None else coeff, exp)
@@ -428,19 +420,20 @@ class QuasiCurve:
         return powers[k]
 
     def image_membership(
-        self, target: Sequence[UniPoly], w: int
+        self, target: Sequence[Optional[tuple]], w: int
     ) -> Optional[List[Tuple[Tuple[int, int], FieldElement]]]:
         """Express a homogeneous degree-w vector of ~A in the image of n.
 
-        target has one UniPoly per branch, each zero or a monomial of
-        degree w.  Returns the witness combination of monomials of k[x,y]
-        or None when the vector is not in the image of A, as decided by
-        membership in module.coordinate_ring(self), the cyclic A*(1,...,1).
+        target has one term (c, e) with c nonzero, or None, per branch, as
+        normalization_image returns it.  Returns the witness combination of
+        monomials of k[x,y] or None when the vector is not in the image of
+        A, as decided by membership in module.coordinate_ring(self), the
+        cyclic A*(1,...,1).
         """
         # module imports this module, so the import waits until first use.
         from .module import _of, coordinate_ring
 
-        coeffs = {(i, 0, e): c for i, p in enumerate(target) for e, c in p.terms}
+        coeffs = {(i, 0, t[1]): t[0] for i, t in enumerate(target) if t is not None}
         if any(e * self.branches[i].t_degree != w for i, _, e in coeffs):
             return None
         witness = coordinate_ring(self).contains(_of(self.field, coeffs))

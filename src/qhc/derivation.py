@@ -2,19 +2,20 @@
 
 A derivation on A is stored through its coordinate images (P(x), P(y));
 its canonical extension to k[t_1] x ... x k[t_r] is a vector of
-coefficients delta_i with ~P_i = delta_i(t_i) * d/dt_i, solved branch by
-branch from the chain rule and cross-checked on the other coordinate.
+coefficients delta_i with ~P_i = delta_i(t_i) * d/dt_i.  For a homogeneous
+P every delta_i is one branch term (c, e), meaning c*t_i^e, or None (see
+curve), solved from the chain rule n_i(P u) = delta_i * d/dt n_i(u).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
-from .curve import BranchKind, QuasiCurve
+from .curve import QuasiCurve
 from .errors import ConsistencyError, InputError
 from .module import _of, coordinate_ring, element_degrees
-from .poly import BiPoly, UniPoly
+from .poly import BiPoly
 from .semigroup import gamma_formula
 
 
@@ -30,10 +31,7 @@ class DerivationOnA:
 
 @dataclass(frozen=True)
 class ExtendedDerivation:
-    deltas: tuple  # one UniPoly per branch
-
-    def apply(self, vec: List[UniPoly]) -> List[UniPoly]:
-        return [d * p.derivative() for d, p in zip(self.deltas, vec)]
+    deltas: tuple  # one term (c, e) or None per branch
 
 
 @dataclass(frozen=True)
@@ -65,37 +63,47 @@ def koszul(curve: QuasiCurve) -> DerivationOnA:
     )
 
 
+def _times(s: Optional[tuple], t: Optional[tuple]) -> Optional[tuple]:
+    """The product of two branch terms."""
+    return None if s is None or t is None else (s[0] * t[0], s[1] + t[1])
+
+
+def _derivative(term: Optional[tuple]) -> Optional[tuple]:
+    """d/dt of a branch term: c*t^e gives e*c*t^(e-1), None for a constant."""
+    if term is None or not term[1]:
+        return None
+    c, e = term
+    return (c.scale(e), e - 1)
+
+
 def preserves_ideal(curve: QuasiCurve, P: DerivationOnA) -> bool:
-    """Whether P(f) lies in (f), i.e. P descends to A = k[x,y]/(f)."""
+    """Whether P(f) lies in (f), i.e. P descends to A = k[x,y]/(f); P(f)
+    must be homogeneous."""
     return not any(curve.normalization_image(P.apply(curve.f)))
 
 
 def extend(curve: QuasiCurve, P: DerivationOnA) -> ExtendedDerivation:
     """Canonical extension of P to the normalization, one delta per branch.
 
-    delta_i is solved from the chain rule on a coordinate with nonzero
-    image (y for the x-axis branch, x otherwise) and verified on the
-    other coordinate.
+    By the chain rule n_i(P u) = delta_i * d/dt n_i(u) for u in {x, y}:
+    delta_i is solved on the first coordinate whose image has a nonzero
+    derivative (every branch has one) and checked on both.  A P that is
+    not homogeneous raises NotHomogeneousError.
     """
     if not preserves_ideal(curve, P):
         raise InputError("derivation does not preserve the ideal (f)")
-    npx = curve.normalization_image(P.px)
-    npy = curve.normalization_image(P.py)
-    fld = curve.field
+    images = (curve.normalization_image(P.px), curve.normalization_image(P.py))
     deltas = []
     for i, br in enumerate(curve.branches):
-        if br.kind is BranchKind.AXIS_X:
-            # n(x) = 0, n(y) = t: delta * 1 = n(P(y)), and n(P(x)) must vanish
-            delta = npy[i]
-            if npx[i]:
+        slopes = (_derivative(br.nx), _derivative(br.ny))
+        slope, image = next((s, n[i]) for s, n in zip(slopes, images) if s is not None)
+        delta = None
+        if image is not None:
+            if image[1] < slope[1]:
                 raise InputError("inconsistent extension on branch %d" % (i + 1))
-        else:
-            dnx = br.nx.derivative()
-            delta = npx[i].exact_div(dnx) if npx[i] else UniPoly.zero(fld)
-            if npx[i] and delta * dnx != npx[i]:
-                raise InputError("inconsistent extension on branch %d" % (i + 1))
-            if delta * br.ny.derivative() != npy[i]:
-                raise InputError("inconsistent extension on branch %d" % (i + 1))
+            delta = (image[0] / slope[0], image[1] - slope[1])
+        if any(_times(delta, s) != n[i] for s, n in zip(slopes, images)):
+            raise InputError("inconsistent extension on branch %d" % (i + 1))
         deltas.append(delta)
     return ExtendedDerivation(tuple(deltas))
 
@@ -105,7 +113,7 @@ def koszul_data(
 ) -> KoszulData:
     """beta_i and c_i read off the extended Koszul derivation.
 
-    Each delta_i must be a monomial beta_i t^{c_i} with c_i matching the
+    Each delta_i must be a term beta_i t^{c_i} with c_i matching the
     semigroup conductor; anything else is an internal inconsistency.
     ext is extend(curve, koszul(curve)) when the caller already has it.
     """
@@ -114,9 +122,9 @@ def koszul_data(
     betas = []
     conductors = []
     for i, delta in enumerate(ext.deltas):
-        if not delta:
+        if delta is None:
             raise ConsistencyError("extended Koszul delta vanishes on branch %d" % (i + 1))
-        beta, c = delta.monomial_parts()
+        beta, c = delta
         expected = gamma_formula(curve, i).conductor
         if c != expected:
             raise ConsistencyError(
@@ -157,15 +165,15 @@ def _compute_q(curve: QuasiCurve) -> QElement:
     q = QElement(tuple(coeffs), tuple(exps))
     # ~D = q * ~E componentwise
     ext_e = extend(curve, euler(curve))
-    for i in range(curve.r):
-        if UniPoly.monomial(fld, coeffs[i], exps[i]) * ext_e.deltas[i] != ext_d.deltas[i]:
+    for i, (c, g) in enumerate(zip(coeffs, exps)):
+        if _times((c, g), ext_e.deltas[i]) != ext_d.deltas[i]:
             raise ConsistencyError("~D != q*~E on branch %d" % (i + 1))
     # q in (A:m): q*n(x) and q*n(y) are elements of A of degree lam + w_x, lam + w_y
     ring = coordinate_ring(curve)
     lam = curve.wf - curve.wx - curve.wy
+    q_vec = _of(fld, {(i, 0, g): c for i, (c, g) in enumerate(zip(coeffs, exps))})
     for (a, b), wh in (((1, 0), curve.wx), ((0, 1), curve.wy)):
-        terms = zip(coeffs, exps, curve.monomial_terms(a, b))
-        v = _of(fld, {(i, 0, g + t[1]): c * t[0] for i, (c, g, t) in enumerate(terms) if t})
+        v = q_vec.act(curve.monomial_terms(a, b))
         if not element_degrees(curve, ring.cover, v) <= {lam + wh} or not ring.is_member(v):
             raise ConsistencyError("q*m does not land in A")
     return q

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from .curve import Branch, BranchKind, QuasiCurve
+from .curve import BranchKind, QuasiCurve, infer_weights
 from .errors import InputError
 from .field import FieldElement, NumberField, as_fraction, element_from_json, fraction_str
 from .module import FreeCover, GradedSubmodule, ModuleElement, Witness
 from .poly import BiPoly
+
+
+# The largest weighted degree of f, absolute generator degree and
+# --max-degree an input may ask for: work grows faster than linearly in them.
+DEGREE_BUDGET = 2000
 
 
 def _integer(value: Any, name: str) -> int:
@@ -35,7 +40,10 @@ def curve_from_json(data: Dict[str, Any]) -> QuasiCurve:
         terms = {}
         for term in data["f"]:
             coeff = element_from_json(field, term["coeff"])
-            terms[(_integer(term["x"], "x"), _integer(term["y"], "y"))] = coeff
+            xe, ye = _integer(term["x"], "x"), _integer(term["y"], "y")
+            if xe < 0 or ye < 0:
+                raise InputError("negative exponent in k[x,y]")
+            terms[(xe, ye)] = coeff
         f = BiPoly.make(field, terms)
         weights = None
         if "weights" in data:
@@ -52,6 +60,11 @@ def curve_from_json(data: Dict[str, Any]) -> QuasiCurve:
                 branches.append((kind, a, b))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("malformed CurveSpec: %s" % exc) from exc
+    if f:
+        wx, wy = weights if weights is not None else infer_weights(f)
+        degree = max(a * wx + b * wy for (a, b), _ in f.terms)
+        if degree > DEGREE_BUDGET:
+            raise InputError("f has weighted degree %d, above the budget %d" % (degree, DEGREE_BUDGET))
     return QuasiCurve.create(field, f, weights, branches)
 
 
@@ -107,7 +120,11 @@ def module_from_json(curve: QuasiCurve, data: Dict[str, Any]) -> GradedSubmodule
             generators.append(ModuleElement(curve.field, coeffs))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("malformed ModuleSpec: %s" % exc) from exc
-    return GradedSubmodule(curve, cover, generators)
+    M = GradedSubmodule(curve, cover, generators)
+    for w in M.weights:
+        if abs(w) > DEGREE_BUDGET:
+            raise InputError("a generator has degree %d, outside the budget [-%d, %d]" % (w, DEGREE_BUDGET, DEGREE_BUDGET))
+    return M
 
 
 def module_to_json(M: GradedSubmodule) -> Dict[str, Any]:

@@ -14,10 +14,11 @@ only the stability check of the connection and image_membership ask for.
 A ModuleElement is built, stored and read as a sparse vector over the
 cover coordinates (branch, slot, t-exponent), the same keys that index a
 degree piece and that a ModuleSpec lists, so sums, scalings, the action
-of a monomial image, the span columns of a piece (written from the
-curve's monomial_terms), the coordinates of a membership question and
-the column reduction of the canonical embedding are coefficient
-operations with no polynomial built.
+of a branch image (one term (c, e) or None per branch, as the curve's
+monomial_terms and normalization_image return it), the span columns of a
+piece, the coordinates of a membership question and the column reduction
+of the canonical embedding are coefficient operations with no polynomial
+built.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from . import linalg
 from .curve import QuasiCurve
 from .errors import ConsistencyError, InputError
 from .field import FieldElement
-from .poly import UniPoly, monomials_of_weight
+from .poly import monomials_of_weight
 from .semigroup import gamma_formula
 
 
@@ -118,29 +119,15 @@ class ModuleElement:
             return _of(self.field, {})
         return _of(self.field, {k: c * v for k, v in self.coeffs.items()})
 
-    def act(self, vec: Sequence[UniPoly]) -> "ModuleElement":
-        """Multiply by an element of the normalization, branch by branch.
-
-        A branch image that is one monomial c_i t_i^{e_i} (every monomial
-        image, and n(h) for homogeneous h) moves each key by e_i and
-        multiplies by c_i; any other image is a convolution.
-        """
-        images = [p.terms for p in vec]
-        out: Dict[Tuple[int, int, int], FieldElement] = {}
-        convolved = False
+    def act(self, terms: Sequence[Optional[tuple]]) -> "ModuleElement":
+        """Multiply by a branch image, one term (c_i, e_i) or None per branch:
+        each key on branch i moves by e_i and is multiplied by c_i, and a
+        None branch drops its keys."""
+        out = {}
         for (i, j, e), c in self.coeffs.items():
-            terms = images[i]
-            if len(terms) == 1:
-                ((ei, ci),) = terms
-                out[(i, j, e + ei)] = ci * c
-            elif terms:
-                convolved = True
-                for ei, ci in terms:
-                    k = (i, j, e + ei)
-                    p = ci * c
-                    out[k] = out[k] + p if k in out else p
-        if convolved:
-            out = {k: c for k, c in out.items() if c}
+            t = terms[i]
+            if t is not None:
+                out[(i, j, e + t[1])] = t[0] * c
         return _of(self.field, out)
 
     def __str__(self) -> str:
@@ -252,8 +239,8 @@ class GradedSubmodule:
 
     def _piece(self, w: int) -> Tuple[dict, list, linalg.Elimination]:
         """The degree-w piece, eliminated once and kept for the module's life:
-        the greedy basis of the span columns n(x^a y^b)*m_l, tagged (l, (a, b),
-        element), each written from m_l's coefficients and monomial_terms."""
+        the greedy basis of the span columns m_l.act(n(x^a y^b)), tagged
+        (l, (a, b), element)."""
         piece = self._pieces.get(w)
         if piece is None:
             curve = self.curve
@@ -262,14 +249,8 @@ class GradedSubmodule:
             basis = []
             for l, (gen, wl) in enumerate(zip(self.generators, self.weights)):
                 for a, b in monomials_of_weight(curve.wx, curve.wy, w - wl):
-                    terms = curve.monomial_terms(a, b)
-                    col = {}
-                    for (i, j, e), c in gen.coeffs.items():
-                        t = terms[i]
-                        if t is not None:
-                            col[(i, j, e + t[1])] = t[0] * c
-                    elem = _of(curve.field, col)
-                    if col and elimination.add(self._coords(elem, index)):
+                    elem = gen.act(curve.monomial_terms(a, b))
+                    if elem.coeffs and elimination.add(self._coords(elem, index)):
                         basis.append((l, (a, b), elem))
                         if elimination.full:
                             break
@@ -308,8 +289,7 @@ class GradedSubmodule:
     def replay_witness(self, witness: Witness) -> ModuleElement:
         out = ModuleElement(self.curve.field, {})
         for l, (a, b), coeff in witness:
-            img = self.curve.monomial_image(a, b)
-            out = out + self.generators[l].act(img).scale(coeff)
+            out = out + self.generators[l].act(self.curve.monomial_terms(a, b)).scale(coeff)
         return out
 
     # -- canonical embedding ------------------------------------------------

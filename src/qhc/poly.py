@@ -17,6 +17,16 @@ def _clean(items: Mapping) -> tuple:
     return tuple(sorted((e, c) for e, c in items.items() if c))
 
 
+def term_str(term) -> str:
+    """A branch image (c, e), meaning c*t^e, or None for zero, as text."""
+    if term is None:
+        return "0"
+    c, e = term
+    if e == 0:
+        return "(%s)" % c
+    return "(%s)*t" % c if e == 1 else "(%s)*t^%d" % (c, e)
+
+
 @dataclass(frozen=True)
 class UniPoly:
     """Element of k[t], stored as sorted (exponent, coefficient) pairs."""
@@ -122,17 +132,7 @@ class UniPoly:
         return c, e
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms:
-            if e == 0:
-                parts.append("(%s)" % c)
-            elif e == 1:
-                parts.append("(%s)*t" % c)
-            else:
-                parts.append("(%s)*t^%d" % (c, e))
-        return " + ".join(parts)
+        return " + ".join(term_str((c, e)) for e, c in self.terms) or "0"
 
 
 @dataclass(frozen=True)

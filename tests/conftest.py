@@ -19,8 +19,18 @@ def rational_poly(field, terms):
 
 
 def q_vector(q):
-    """q as the vector (c_i t_i^{g_i})_i of UniPoly."""
-    return tuple(UniPoly.monomial(c.field, c, e) for c, e in zip(q.coeffs, q.exps))
+    """q as the vector of branch terms (c_i, g_i), meaning c_i t_i^{g_i}."""
+    return tuple(zip(q.coeffs, q.exps))
+
+
+def times(s, t):
+    """The product of two branch terms (c, e), None standing for zero."""
+    return None if s is None or t is None else (s[0] * t[0], s[1] + t[1])
+
+
+def poly_of(field, term):
+    """The UniPoly c*t^e of a branch term (c, e), zero for None."""
+    return UniPoly.zero(field) if term is None else UniPoly.monomial(field, *term)
 
 
 def y_family_curve(m, n):

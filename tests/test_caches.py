@@ -1,7 +1,7 @@
 """The per-curve and per-module caches agree with the uncached computations.
 
 Each test keeps the uncached path as a reference: monomial images through
-BiPoly.evaluate, graded pieces through independent_subset over the whole
+BiPoly.evaluate on the UniPoly branch images of test_terms, graded pieces through independent_subset over the whole
 span family, and membership by solving the whole matrix, both with the
 elimination loops that predate linalg.Elimination (from test_linalg).
 """
@@ -22,8 +22,10 @@ from qhc.derivation import q_element
 from qhc.module import ModuleElement, basis_element, coordinate_ring
 from qhc.poly import BiPoly, UniPoly, monomials_of_weight
 
+from conftest import poly_of
 from test_linalg import reference_independent_subset, reference_solve
 from test_module import entries_of
+from test_terms import reference_act, reference_image
 
 # Every ADE entry (over Q, Q(i), Q(zeta8), Q(zeta12)) and Y entries, whose
 # y-axis branch has a vanishing x-image.
@@ -34,8 +36,7 @@ FIXTURE_LABELS = list(ADE_LABELS) + ["Y_1_2", "Y_3_2", "Y_2_3", "Y_5_2"]
 
 
 def _evaluated_image(curve, a, b):
-    mono = BiPoly.monomial(curve.field, curve.field.one(), a, b)
-    return [mono.evaluate(br.nx, br.ny) for br in curve.branches]
+    return reference_image(curve, BiPoly.monomial(curve.field, curve.field.one(), a, b))
 
 
 _memo_evaluated_image = functools.lru_cache(maxsize=None)(_evaluated_image)
@@ -46,7 +47,7 @@ def _reference_span(M, w):
     out = []
     for l, (gen, wl) in enumerate(zip(M.generators, M.weights)):
         for a, b in monomials_of_weight(M.curve.wx, M.curve.wy, w - wl):
-            elem = gen.act(_memo_evaluated_image(M.curve, a, b))
+            elem = reference_act(gen, _memo_evaluated_image(M.curve, a, b))
             if elem:
                 out.append((l, (a, b), elem))
     return out
@@ -113,10 +114,7 @@ def test_monomial_terms_match_images_and_evaluation(label):
         for a, b in monomials_of_weight(curve.wx, curve.wy, w):
             terms = curve.monomial_terms(a, b)
             assert len(terms) == curve.r
-            as_polys = [
-                UniPoly.zero(curve.field) if t is None else UniPoly.monomial(curve.field, *t)
-                for t in terms
-            ]
+            as_polys = [poly_of(curve.field, t) for t in terms]
             assert as_polys == curve.monomial_image(a, b) == _evaluated_image(curve, a, b)
             assert curve.monomial_terms(a, b) is terms
             vanished += sum(t is None for t in terms)
@@ -134,11 +132,9 @@ def test_images_do_not_depend_on_query_order():
 def test_normalization_image_matches_evaluation():
     for label in ("A_3", "D_4", "E_7", "Y_3_2"):
         curve = catalog_get(label).curve()
-        h = curve.f.dx() * curve.f.dy() + curve.f.dx()
-        assert curve.normalization_image(h) == [
-            h.evaluate(br.nx, br.ny) for br in curve.branches
-        ]
-        assert not any(curve.normalization_image(curve.f))
+        h = curve.f.dx() * curve.f.dy()
+        assert [poly_of(curve.field, t) for t in curve.normalization_image(h)] == reference_image(curve, h)
+        assert curve.normalization_image(curve.f) == (None,) * curve.r
 
 
 def test_mutating_a_returned_image_leaves_the_cache_intact():
@@ -193,13 +189,13 @@ def test_graded_piece_is_the_greedy_independent_subset(label):
 
 def _reference_piece_basis(M, w):
     """The basis of M_w as built from UniPoly images: the columns
-    gen.act(monomial_image(a, b)) fed in order to a fresh Elimination."""
+    reference_act(gen, monomial_image(a, b)) fed in order to a fresh Elimination."""
     index = {s: pos for pos, s in enumerate(M._degree_slots(w))}
     elimination = linalg.Elimination(len(index), M.curve.field)
     basis = []
     for l, (gen, wl) in enumerate(zip(M.generators, M.weights)):
         for a, b in monomials_of_weight(M.curve.wx, M.curve.wy, w - wl):
-            elem = gen.act(M.curve.monomial_image(a, b))
+            elem = reference_act(gen, M.curve.monomial_image(a, b))
             if elem and elimination.add(M._coords(elem, index)):
                 basis.append((l, (a, b), elem))
     return basis

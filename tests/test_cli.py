@@ -1,6 +1,7 @@
 """JSON round-trips and the command-line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -286,6 +287,7 @@ def _with(spec, path, value):
         ("curve", ("f", 1, "x"), 2.7),
         ("curve", ("f", 0, "y"), _HUGE),
         ("curve", ("f", 0, "coeff"), ["1/0"]),
+        ("curve", ("f", 1, "y"), -1),
         ("curve", (), []),
         ("module", ("generators", 1, 0, "exp"), 1.5),
         ("module", ("generators", 0, 0, "exp"), _HUGE),
@@ -295,7 +297,7 @@ def _with(spec, path, value):
         ("module", ("cover",), [{"branch": 1, "shifts": [0]}, {"branch": 2, "shifts": [0]},
                                 {"branch": 1, "shifts": [0, 1]}]),
     ],
-    ids=["x-float", "y-1e400", "coeff-1/0", "curve-list", "exp-float", "exp-1e400",
+    ids=["x-float", "y-1e400", "coeff-1/0", "y-negative", "curve-list", "exp-float", "exp-1e400",
          "shift-1e400", "branch-bool", "module-list", "cover-row-twice"],
 )
 def test_cli_rejects_inexact_integers_and_malformed_specs(tmp_path, capsys, kind, path, value):
@@ -327,3 +329,41 @@ def test_cli_connects_the_zero_module(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["path"] == "direct-stability"
     assert report["verified"] == {"leibniz": 0, "graded": 0, "integrable": 0}
+
+
+def test_cli_rejects_degrees_above_the_budget(tmp_path, capsys):
+    # Before the budget the first took minutes and the second 5.7 s and 268 MB.
+    entry = catalog_get("Y_3_2")
+    curve = entry.curve()
+    cpath = _write(tmp_path, "curve.json", io.curve_to_json(curve))
+    module = io.module_to_json(fixture_modules(entry)[0].module(curve))
+    high = json.loads(json.dumps(module))
+    high["generators"][1][0]["exp"] = 100000
+    low = {"cover": [{"branch": 1, "shifts": [-20000]}, {"branch": 2, "shifts": [0]}],
+           "generators": [[{"branch": 1, "index": 1, "coeff": ["1/1"], "exp": 0}]]}
+    big = {"f": [{"coeff": ["1/1"], "x": 2, "y": 0}, {"coeff": ["1/1"], "x": 0, "y": 2000001}]}
+    negative = {"f": [{"coeff": ["1/1"], "x": 2, "y": -1}, {"coeff": ["1/1"], "x": 0, "y": 1}]}
+    connect = ["module", "--curve", cpath, "--module"]
+    cases = [
+        (connect + [_write(tmp_path, "high.json", high), "connect", "--samples", "1"],
+         "a generator has degree 100000, outside the budget [-2000, 2000]"),
+        (connect + [_write(tmp_path, "low.json", low), "check"],
+         "a generator has degree -20000, outside the budget [-2000, 2000]"),
+        (["curve", "--in", _write(tmp_path, "big.json", big), "branches"],
+         "f has weighted degree 4000002, above the budget 2000"),
+        (["curve", "--in", cpath, "semigroups", "--max-degree", "2001"],
+         "--max-degree 2001 is above the budget 2000"),
+        (["curve", "--in", _write(tmp_path, "negative.json", negative), "branches"],
+         "negative exponent in k[x,y]"),
+    ]
+    for argv, message in cases:
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 1
+        assert capsys.readouterr().err == "input error: %s\n" % message
+    # The budget itself is allowed.
+    at_budget = {"f": [{"coeff": ["1/1"], "x": 1, "y": 0}, {"coeff": ["-1/1"], "x": 0, "y": io.DEGREE_BUDGET}]}
+    assert io.curve_from_json(at_budget).wf == io.DEGREE_BUDGET
+    high["generators"][1][0]["exp"] = io.DEGREE_BUDGET
+    assert io.module_from_json(curve, high).weights == [0, io.DEGREE_BUDGET]

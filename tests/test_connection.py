@@ -23,6 +23,7 @@ from qhc.poly import UniPoly
 
 from conftest import cusp_curve, y_family_curve
 from test_module import case1_module, case2_module, element_of, entries_of, unstable_cusp_module
+from test_terms import reference_act
 
 
 def _elem(entries):
@@ -193,7 +194,7 @@ def reference_nabla_D(curve, cover, v, q):
     qvec = [UniPoly.monomial(curve.field, c, e) for c, e in zip(q.coeffs, q.exps)]
     out = ModuleElement(curve.field, {})
     for w, comp in reference_components(curve, cover, v).items():
-        out = out + comp.scale(curve.field.from_rational(w)).act(qvec)
+        out = out + reference_act(comp.scale(curve.field.from_rational(w)), qvec)
     return out
 
 

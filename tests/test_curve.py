@@ -1,5 +1,6 @@
 """Weights, branch factorization, and normalization maps."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,13 +18,21 @@ from qhc.curve import (
     rational_roots,
 )
 from qhc.derivation import q_element
-from qhc.errors import InputError
+from qhc.errors import InputError, NotHomogeneousError
 from qhc.field import QQ, NumberField
 from qhc.module import ModuleElement, coordinate_ring, element_degrees
 from qhc.poly import BiPoly, UniPoly, monomials_of_weight
 from qhc.semigroup import gamma_formula
 
-from conftest import cusp_curve, q_vector, random_reduced_curve, rational_poly, y_family_curve
+from conftest import (
+    cusp_curve,
+    poly_of,
+    q_vector,
+    random_reduced_curve,
+    rational_poly,
+    times,
+    y_family_curve,
+)
 from test_linalg import reference_solve
 
 
@@ -127,13 +136,15 @@ def test_normalization_images_of_coordinates():
     ny = curve.monomial_image(0, 1)
     assert nx == [t, UniPoly.monomial(QQ, QQ.one(), 3)]
     assert ny == [UniPoly.zero(QQ), UniPoly.monomial(QQ, QQ.one(), 2)]
+    one = QQ.one()
+    assert [br.nx for br in curve.branches] == [(one, 1), (one, 3)]
+    assert [br.ny for br in curve.branches] == [None, (one, 2)]
 
 
 def test_normalization_kills_f():
     for curve in (y_family_curve(3, 2), cusp_curve()):
-        assert curve.normalization_image(curve.f) == [
-            UniPoly.zero(QQ) for _ in curve.branches
-        ]
+        assert curve.normalization_image(curve.f) == (None,) * curve.r
+        assert curve.normalization_image(BiPoly.zero(QQ)) == (None,) * curve.r
 
 
 def test_branch_table_data():
@@ -151,12 +162,18 @@ def test_normalization_is_a_graded_ring_homomorphism(rng):
         h2 = _random_homogeneous(rng, curve)
         n1 = curve.normalization_image(h1)
         n2 = curve.normalization_image(h2)
-        assert curve.normalization_image(h1 * h2) == [a * b for a, b in zip(n1, n2)]
-        assert curve.normalization_image(h1 + h2) == [a + b for a, b in zip(n1, n2)]
+        assert curve.normalization_image(h1 * h2) == tuple(map(times, n1, n2))
         w = h1.weighted_degree(curve.wx, curve.wy)
+        if h2.weighted_degree(curve.wx, curve.wy) == w:
+            assert [poly_of(QQ, n) for n in curve.normalization_image(h1 + h2)] == [
+                poly_of(QQ, a) + poly_of(QQ, b) for a, b in zip(n1, n2)
+            ]
+        else:
+            with pytest.raises(NotHomogeneousError):
+                curve.normalization_image(h1 + h2)
         for br, img in zip(curve.branches, n1):
-            if img:
-                assert all(e * br.t_degree == w for e, _ in img.terms)
+            if img is not None:
+                assert img[0] and img[1] * br.t_degree == w
 
 
 def _random_homogeneous(rng, curve):
@@ -202,13 +219,26 @@ def _outcome(call):
         return str(exc)
 
 
+def _divisors(n):
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
 def _reference_solve_b(a, wx):
-    """b as solved before exact roots: the first rational root of X^wx + 1/a."""
+    """b as solved before exact roots: the least rational root of X^wx + 1/a by
+    (numerator, denominator), found by trial division: a root p/q in lowest
+    terms has p dividing the numerator and q the denominator of -1/a."""
     target = -1 / a.as_rational()
-    roots = rational_roots([-target] + [0] * (wx - 1) + [1])
+    num, den = target.numerator, target.denominator
+    roots = sorted(
+        (Fraction(s * p, q) for p in _divisors(num) for q in _divisors(den) for s in (1, -1)
+         if (s * p) ** wx * den == num * q ** wx),
+        key=lambda r: (r.numerator, r.denominator),
+    )
     if not roots:
         raise InputError("b_i not in field: u^%d + %s" % (wx, (QQ.one() / a)))
-    return QQ.from_rational(roots[0][0])
+    return QQ.from_rational(roots[0])
 
 
 def test_solve_b_agrees_with_trial_division():
@@ -255,13 +285,13 @@ def test_only_the_mixed_factor_uses_trial_division(monkeypatch):
 
 def test_image_membership_zero_and_gap_targets():
     curve = y_family_curve(3, 2)
-    zero_target = [UniPoly.zero(QQ), UniPoly.zero(QQ)]
+    zero_target = (None, None)
     assert curve.image_membership(zero_target, 5) == []
     # t_1^1 alone has degree 3 but 1 is a gap of the first branch semigroup
-    target = [UniPoly.monomial(QQ, QQ.one(), 1), UniPoly.zero(QQ)]
+    target = ((QQ.one(), 1), None)
     assert curve.image_membership(target, 3) is None
     # t_1^3 is in the image in its degree 9, and no vector of degree 8
-    target = [UniPoly.monomial(QQ, QQ.one(), 3), UniPoly.zero(QQ)]
+    target = ((QQ.one(), 3), None)
     assert curve.image_membership(target, 9) is not None
     assert curve.image_membership(target, 8) is None
 
@@ -277,7 +307,7 @@ def test_image_membership_witness_recombines(rng):
     for (a, b), c in witness:
         img = curve.monomial_image(a, b)
         total = [acc + p.scale(c) for acc, p in zip(total, img)]
-    assert total == target
+    assert total == [poly_of(QQ, t) for t in target]
 
 
 def test_random_curves_factor_consistently(rng):
@@ -299,7 +329,7 @@ def test_extension_fields_require_explicit_branches():
 
 
 def reference_image_membership(curve, target, w):
-    if not any(target):
+    if all(t is None for t in target):
         return []
     rows = []  # (branch index, t-exponent) coordinates
     for i, br in enumerate(curve.branches):
@@ -308,8 +338,9 @@ def reference_image_membership(curve, target, w):
     row_index = {key: pos for pos, key in enumerate(rows)}
     zero = curve.field.zero()
     rhs = [zero] * len(rows)
-    for i, p in enumerate(target):
-        for e, c in p.terms:
+    for i, t in enumerate(target):
+        if t is not None:
+            c, e = t
             if (i, e) not in row_index:
                 return None
             rhs[row_index[(i, e)]] = c
@@ -335,9 +366,9 @@ def _membership_targets(curve, rng):
     field = curve.field
     for i, br in enumerate(curve.branches):
         for gamma in range(gamma_formula(curve, i).conductor + 11):
-            target = [UniPoly.zero(field) for _ in curve.branches]
-            target[i] = UniPoly.monomial(field, field.one(), gamma)
-            yield target, gamma * br.t_degree
+            target = [None] * curve.r
+            target[i] = (field.one(), gamma)
+            yield tuple(target), gamma * br.t_degree
     for _ in range(30):
         w = rng.randint(0, 3 * curve.wf)
         monos = monomials_of_weight(curve.wx, curve.wy, w)
@@ -350,7 +381,7 @@ def _membership_targets(curve, rng):
     q = q_vector(q_element(curve))
     lam = curve.wf - curve.wx - curve.wy
     for (a, b), wh in (((1, 0), curve.wx), ((0, 1), curve.wy)):
-        yield [qv * hv for qv, hv in zip(q, curve.monomial_image(a, b))], lam + wh
+        yield tuple(map(times, q, curve.monomial_terms(a, b))), lam + wh
 
 
 @pytest.mark.parametrize("label", list(ADE_LABELS) + ["Y_3_2", "Y_5_3", "Y_5_4"])
@@ -372,7 +403,7 @@ def _in_image(curve, target, w):
     """Whether the degree-w vector target lies in the image of A, asked of
     coordinate_ring(curve).is_member without a witness."""
     ring = coordinate_ring(curve)
-    v = ModuleElement(curve.field, {(i, 0, e): c for i, p in enumerate(target) for e, c in p.terms})
+    v = ModuleElement(curve.field, {(i, 0, t[1]): t[0] for i, t in enumerate(target) if t is not None})
     return element_degrees(curve, ring.cover, v) <= {w} and ring.is_member(v)
 
 
@@ -387,5 +418,5 @@ def test_in_image_agrees_with_image_membership(label):
             assert _in_image(curve, target, degree) is expected, (label, degree, target)
             answers.add(expected)
     assert answers == {True, False}
-    zero = [UniPoly.zero(curve.field) for _ in curve.branches]
+    zero = (None,) * curve.r
     assert _in_image(curve, zero, 1) and curve.image_membership(zero, 1) == []

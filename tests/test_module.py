@@ -25,6 +25,7 @@ from qhc.poly import BiPoly, UniPoly
 
 from conftest import cusp_curve, y_family_curve
 from test_linalg import reference_solve
+from test_terms import reference_image
 
 
 def _t(exp, coeff=1):
@@ -169,7 +170,7 @@ def test_action_preserves_membership(rng):
     for _ in range(20):
         gen = M.generators[rng.randrange(len(M.generators))]
         a, b = rng.choice([(1, 0), (0, 1), (2, 0), (1, 1)])
-        v = gen.act(curve.monomial_image(a, b))
+        v = gen.act(curve.monomial_terms(a, b))
         if v:
             witness = M.contains(v)
             assert witness is not None
@@ -625,9 +626,10 @@ def test_flat_coordinates_match_the_unipoly_reference(label, rng):
     entry = catalog_get(label)
     curve = entry.curve()
     field = curve.field
-    x_plus_y_plus_one = BiPoly.make(field, {(0, 0): field.one(), (1, 0): field.one(), (0, 1): field.one()})
-    general = curve.normalization_image(x_plus_y_plus_one)
-    assert any(len(p.terms) > 1 for p in general)
+    # x^{w_y} + 2 y^{w_x}: two monomials of one degree, so one term per branch.
+    h = BiPoly.make(field, {(curve.wy, 0): field.one(), (0, curve.wx): field.from_rational(2)})
+    image, reference = curve.normalization_image(h), reference_image(curve, h)
+    assert any(t is not None for t in image)
     for fx in fixture_modules(entry):
         for M in (fx.module(curve), fx.module(curve).canonical_embedding()):
             cover = M.cover
@@ -655,9 +657,9 @@ def test_flat_coordinates_match_the_unipoly_reference(label, rng):
                 assert not a.scale(field.zero()).coeffs
                 xe, ye = rng.randint(0, 3), rng.randint(0, 3)
                 mono = curve.monomial_image(xe, ye)
-                _assert_matches(mixed.act(mono), rm.act(mono))
-                _assert_matches(a.act(general), ra.act(general))
-                _assert_matches(mixed.act(general), rm.act(general))
+                _assert_matches(mixed.act(curve.monomial_terms(xe, ye)), rm.act(mono))
+                _assert_matches(a.act(image), ra.act(reference))
+                _assert_matches(mixed.act(image), rm.act(reference))
                 assert (a == b) == (ra == rb)
                 assert (a == mixed) == (ra == rm)
                 assert a == a.scale(field.one())
@@ -679,13 +681,8 @@ def test_no_zero_coefficient_survives_cancellation():
     w = ModuleElement(QQ, {(0, 0, 1): -one})
     assert (v + w).coeffs == {(0, 0, 0): one, (1, 0, 2): one}
     assert (v - ModuleElement(QQ, {(1, 0, 2): one})).coeffs == {(0, 0, 0): one, (0, 0, 1): one}
-    # (1 + t) * (1 - t) = 1 - t^2: the t term cancels in the convolution.
-    image = [_t(0) - _t(1), _t(0) + _t(3)]
-    prod = v.act(image)
-    assert prod.coeffs == {(0, 0, 0): one, (0, 0, 2): -one, (1, 0, 2): one, (1, 0, 5): one}
-    assert entries_of(prod) == _as_reference(v).act(image).entries
-    # A zero branch image empties that branch.
-    assert v.act([UniPoly.zero(QQ), _t(1)]).coeffs == {(1, 0, 3): one}
+    # A None branch image empties that branch.
+    assert v.act((None, (one, 1))).coeffs == {(1, 0, 3): one}
     # The constructor drops zero coefficients.
     assert ModuleElement(QQ, {(0, 0, 0): QQ.zero()}).coeffs == {}
     assert not homogeneous_components(curve, FreeCover(((0,), (0,))), v + (-v))
