@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
 from .curve import QuasiCurve
@@ -29,16 +30,17 @@ from .poly import BiPoly, monomials_of_weight
 from .semigroup import gamma_formula
 
 
+def _sum(field, terms: List[ModuleElement]) -> ModuleElement:
+    """The sum of the terms: the one term itself, or zero when there is none."""
+    return reduce(ModuleElement.__add__, terms) if terms else _of(field, {})
+
+
 def apply_nabla_E(curve: QuasiCurve, cover: FreeCover, v: ModuleElement) -> ModuleElement:
     """Each homogeneous component of weight w is scaled by w."""
-    comps = homogeneous_components(curve, cover, v)
-    out = ModuleElement(curve.field, {})
-    for w, comp in comps.items():
-        term = comp.scale(curve.field.from_rational(w))
-        if len(comps) == 1:
-            return term
-        out = out + term
-    return out
+    return _sum(curve.field, [
+        comp.scale(curve.field.from_rational(w))
+        for w, comp in homogeneous_components(curve, cover, v).items()
+    ])
 
 
 def _nabla_D_homogeneous(
@@ -49,7 +51,7 @@ def _nabla_D_homogeneous(
     computed once for each branch that v has a key on."""
     wq = curve.field.from_rational(w)
     if not wq:
-        return ModuleElement(curve.field, {})
+        return _of(curve.field, {})
     factors = {}
     out = {}
     for (i, j, e), c in v.coeffs.items():
@@ -64,14 +66,10 @@ def apply_nabla_D(
     curve: QuasiCurve, cover: FreeCover, v: ModuleElement, q: QElement
 ) -> ModuleElement:
     """nabla_D = q * nabla_E, extended additively over components."""
-    comps = homogeneous_components(curve, cover, v)
-    out = ModuleElement(curve.field, {})
-    for w, comp in comps.items():
-        term = _nabla_D_homogeneous(curve, comp, w, q)
-        if len(comps) == 1:
-            return term
-        out = out + term
-    return out
+    return _sum(curve.field, [
+        _nabla_D_homogeneous(curve, comp, w, q)
+        for w, comp in homogeneous_components(curve, cover, v).items()
+    ])
 
 
 def check_stability(
@@ -206,10 +204,13 @@ def verify_properties(
 ) -> Dict[str, int]:
     """Exact verification of the connection axioms on the report's module.
 
-    Checks the Leibniz rule for E and D on random samples, gradedness of
-    nabla_E / nabla_D on graded-piece bases, and the commutator identity
-    [nabla_E, nabla_D] = (w_f - w_x - w_y) * nabla_D.  Any failure raises
-    with the offending sample.
+    Checks the Leibniz rule for E and D on random samples, and on every
+    graded-piece basis vector v of degree w up to degree_bound: nabla_E(v)
+    = w v, gradedness and membership of nd = nabla_D(v), and the commutator
+    identity [nabla_E, nabla_D] = lam * nabla_D with lam = w_f - w_x - w_y.
+    Since nabla_D(w v) = w nd, the identity on v is compared in the form
+    nabla_E(nd) = (w + lam) nd.  Any failure raises with the offending
+    sample or degree.
     """
     if not report.succeeded:
         raise InputError("cannot verify properties of a failed construction")
@@ -244,12 +245,11 @@ def verify_properties(
                 )
         counts["leibniz"] += 1
 
-    lam_k = curve.field.from_rational(lam)
     for w in range(M.min_shift(), degree_bound + 1):
         w_k = curve.field.from_rational(w)
+        wlam_k = curve.field.from_rational(w + lam)
         for vec in M.graded_piece(w):
-            ne = apply_nabla_E(curve, M.cover, vec)
-            if ne != vec.scale(w_k):
+            if apply_nabla_E(curve, M.cover, vec) != vec.scale(w_k):
                 raise ConsistencyError("nabla_E is not w*id in degree %d" % w)
             nd = apply_nabla_D(curve, M.cover, vec, q)
             if nd:
@@ -261,9 +261,9 @@ def verify_properties(
                         "nabla_D leaves the module on a degree-%d basis vector" % w
                     )
             counts["graded"] += 1
-            # ne == w * vec and nabla_D is k-linear, so nabla_D(ne) = w * nd.
-            comm = apply_nabla_E(curve, M.cover, nd) - nd.scale(w_k)
-            if comm != nd.scale(lam_k):
+            # nabla_D(w * vec) = w * nd, so [nabla_E, nabla_D] vec = lam * nd
+            # says nabla_E(nd) = (w + lam) * nd.
+            if apply_nabla_E(curve, M.cover, nd) != nd.scale(wlam_k):
                 raise ConsistencyError("commutator identity failed in degree %d" % w)
             counts["integrable"] += 1
 

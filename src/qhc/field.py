@@ -73,16 +73,18 @@ def _poly_divmod(num: list, den: list) -> tuple:
 class NumberField:
     """Q[a]/(min_poly); degree 1 means the base field is Q itself.
 
-    zero() and one() return one prebuilt element each.  ``_cleared`` holds
-    min_poly with its denominators cleared, as (D, D^(d-1), the nonzero
-    (j, P_j) with j < d) for P = D*min_poly in integers.  None of these
-    takes part in equality or hashing.
+    zero() and one() return one prebuilt element each, and from_rational
+    converts each int once and keeps the element in ``_ints``.
+    ``_cleared`` holds min_poly with its denominators cleared, as (D,
+    D^(d-1), the nonzero (j, P_j) with j < d) for P = D*min_poly in
+    integers.  None of these takes part in equality or hashing.
     """
 
     min_poly: tuple
     _zero: "FieldElement" = dc_field(init=False, compare=False, repr=False)
     _one: "FieldElement" = dc_field(init=False, compare=False, repr=False)
     _cleared: tuple = dc_field(init=False, compare=False, repr=False)
+    _ints: dict = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         coeffs = tuple(as_fraction(c) for c in self.min_poly)
@@ -103,6 +105,7 @@ class NumberField:
         low = tuple((j, p) for j, p in enumerate(P[:-1]) if p)
         object.__setattr__(self, "min_poly", coeffs)
         object.__setattr__(self, "_cleared", (D, D ** (d - 1), low))
+        object.__setattr__(self, "_ints", {})
         object.__setattr__(self, "_zero", self.from_rational(0))
         object.__setattr__(self, "_one", self.from_rational(1))
 
@@ -114,6 +117,11 @@ class NumberField:
         return FieldElement(self, coords)
 
     def from_rational(self, v: RationalLike) -> "FieldElement":
+        if v.__class__ is int:
+            e = self._ints.get(v)
+            if e is None:
+                e = self._ints[v] = _new(self, (v,) + (0,) * (self.degree - 1), 1)
+            return e
         n, den = _ratio(v)
         return _new(self, (n,) + (0,) * (self.degree - 1), den)
 
@@ -209,59 +217,91 @@ class FieldElement:
     def __repr__(self) -> str:
         return "FieldElement(field=%r, coords=%r)" % (self.field, self.coords)
 
-    def _check(self, other: "FieldElement") -> None:
-        if self.field is not other.field and self.field != other.field:
-            raise InputError("mismatched field contexts")
-
     def __bool__(self) -> bool:
         return any(self.num)
 
+    # +, - and * check the field with `is` first, and bring a rational result
+    # (or a rational times an extension element) to lowest terms and allocate
+    # it in place: they are the hottest calls, and helper calls cost more
+    # than the arithmetic.
+
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
+        field = self.field
+        if other.field is not field and other.field != field:
+            raise InputError("mismatched field contexts")
         x, y, dx, dy = self.num, other.num, self.den, other.den
-        if len(x) == 1:
-            if dx == dy:
-                return _make(self.field, (x[0] + y[0],), dx)
-            return _make(self.field, (x[0] * dy + y[0] * dx,), dx * dy)
-        if dx == dy:
-            return _make(self.field, [a + b for a, b in zip(x, y)], dx)
-        return _make(self.field, [a * dy + b * dx for a, b in zip(x, y)], dx * dy)
+        if len(x) > 1:
+            return _make(field, [a * dy + b * dx for a, b in zip(x, y)], dx * dy)
+        n, den = x[0] * dy + y[0] * dx, dx * dy
+        if den != 1:
+            g = gcd(n, den)
+            if g != 1:
+                n, den = n // g, den // g
+        e = _alloc(FieldElement)
+        _set_field(e, field)
+        _set_num(e, (n,))
+        _set_den(e, den)
+        return e
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
+        field = self.field
+        if other.field is not field and other.field != field:
+            raise InputError("mismatched field contexts")
         x, y, dx, dy = self.num, other.num, self.den, other.den
-        if len(x) == 1:
-            if dx == dy:
-                return _make(self.field, (x[0] - y[0],), dx)
-            return _make(self.field, (x[0] * dy - y[0] * dx,), dx * dy)
-        if dx == dy:
-            return _make(self.field, [a - b for a, b in zip(x, y)], dx)
-        return _make(self.field, [a * dy - b * dx for a, b in zip(x, y)], dx * dy)
+        if len(x) > 1:
+            return _make(field, [a * dy - b * dx for a, b in zip(x, y)], dx * dy)
+        n, den = x[0] * dy - y[0] * dx, dx * dy
+        if den != 1:
+            g = gcd(n, den)
+            if g != 1:
+                n, den = n // g, den // g
+        e = _alloc(FieldElement)
+        _set_field(e, field)
+        _set_num(e, (n,))
+        _set_den(e, den)
+        return e
 
     def __neg__(self) -> "FieldElement":
         return _new(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
+        field = self.field
+        if other.field is not field and other.field != field:
+            raise InputError("mismatched field contexts")
         x, y = self.num, other.num
         den = self.den * other.den
         if len(x) == 1:
-            return _make(self.field, (x[0] * y[0],), den)
-        # A rational factor scales the other's coordinates; nothing to reduce.
-        if not any(y[1:]):
-            x, y = y, x
-        if not any(x[1:]):
+            n = x[0] * y[0]
+            if den != 1:
+                g = gcd(n, den)
+                if g != 1:
+                    n, den = n // g, den // g
+            num = (n,)
+        else:
+            # A rational factor scales the other's coordinates; nothing to reduce.
+            if not any(y[1:]):
+                x, y = y, x
+            if any(x[1:]):
+                d = len(x)
+                prod = [0] * (2 * d - 1)
+                for i, a in enumerate(x):
+                    if not a:
+                        continue
+                    for j, b in enumerate(y):
+                        if b:
+                            prod[i + j] += a * b
+                return field._reduce(prod, den)
             c = x[0]
-            return _make(self.field, [c * b for b in y], den)
-        d = len(x)
-        prod = [0] * (2 * d - 1)
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if b:
-                    prod[i + j] += a * b
-        return self.field._reduce(prod, den)
+            num = tuple([c * b for b in y])
+            if den != 1:
+                g = gcd(den, *num)
+                if g != 1:
+                    num, den = tuple([b // g for b in num]), den // g
+        e = _alloc(FieldElement)
+        _set_field(e, field)
+        _set_num(e, num)
+        _set_den(e, den)
+        return e
 
     def inv(self) -> "FieldElement":
         """Multiplicative inverse via extended Euclid on (self, min_poly)."""
@@ -346,11 +386,12 @@ class FieldElement:
 _set_field = FieldElement.field.__set__
 _set_num = FieldElement.num.__set__
 _set_den = FieldElement.den.__set__
+_alloc = object.__new__
 
 
 def _new(field: NumberField, num: tuple, den: int) -> FieldElement:
     """num/den, already in lowest terms with den > 0."""
-    e = object.__new__(FieldElement)
+    e = _alloc(FieldElement)
     _set_field(e, field)
     _set_num(e, num)
     _set_den(e, den)

@@ -91,6 +91,7 @@ class Elimination:
         # Per kept column: its pivot row, its reduced vector, the entry
         # there (None when it is one) and the steps (j, x) that reduced it.
         self._echelon: List[tuple] = []
+        self._backs: dict = {}  # per kept column, from its first solve: see _back
 
     @property
     def rank(self) -> int:
@@ -161,14 +162,28 @@ class Elimination:
             t = coeffs[k]
             if not t:
                 continue
-            for j, x in reversed(echelon[k][3]):
-                term = x * t
+            multipliers, leads = self._back(k)
+            for j, m in multipliers:
+                term = m * t
                 coeffs[j] = coeffs[j] - term if coeffs[j] else -term
-                lead = echelon[j][2]
-                if lead is not None:
-                    t = t * lead
-            coeffs[k] = t
+            coeffs[k] = t if leads is None else t * leads
         if scale is None:
             return coeffs
         inv = scale.inv()
         return [c * inv if c else c for c in coeffs]
+
+    def _back(self, k: int) -> tuple:
+        """Back-substitution's factors for echelon vector k, kept from its first
+        use: [(j, x * the leads of the steps after it)] over its recorded
+        steps, and the product P of all their leads (None when each is one)."""
+        back = self._backs.get(k)
+        if back is None:
+            echelon = self._echelon
+            multipliers, leads = [], None
+            for j, x in reversed(echelon[k][3]):
+                multipliers.append((j, x if leads is None else x * leads))
+                lead = echelon[j][2]
+                if lead is not None:
+                    leads = lead if leads is None else leads * lead
+            back = self._backs[k] = (multipliers, leads)
+        return back

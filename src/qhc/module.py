@@ -163,11 +163,12 @@ def homogeneous_components(
 ) -> Dict[int, ModuleElement]:
     """Components of v by degree; a homogeneous v is its own component."""
     branches, shifts = curve.branches, cover.shifts
+    degrees = [shifts[i][j] + e * branches[i].t_degree for i, j, e in v.coeffs]
+    if len(set(degrees)) <= 1:
+        return {w: v for w in degrees[:1]}
     comps: Dict[int, Dict[Tuple[int, int, int], FieldElement]] = {}
-    for (i, j, e), c in v.coeffs.items():
-        comps.setdefault(shifts[i][j] + e * branches[i].t_degree, {})[(i, j, e)] = c
-    if len(comps) <= 1:
-        return {w: v for w in comps}
+    for w, (key, c) in zip(degrees, v.coeffs.items()):
+        comps.setdefault(w, {})[key] = c
     return {w: _of(v.field, d) for w, d in sorted(comps.items())}
 
 

@@ -1,6 +1,7 @@
 """The natural graded integrable connection and its verification."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,14 @@ from qhc.connection import (
 )
 from qhc.derivation import QElement, q_element
 from qhc.errors import ConsistencyError, InputError
-from qhc.field import QQ
-from qhc.module import FreeCover, GradedSubmodule, ModuleElement, homogeneous_components
+from qhc.field import QQ, FieldElement
+from qhc.module import (
+    FreeCover,
+    GradedSubmodule,
+    ModuleElement,
+    element_degree,
+    homogeneous_components,
+)
 from qhc.poly import UniPoly
 
 from conftest import cusp_curve, y_family_curve
@@ -250,3 +257,79 @@ def test_verify_properties_catches_a_q_of_the_wrong_degree(monkeypatch):
     monkeypatch.setattr(connection, "q_element", lambda c: raised)
     with pytest.raises(ConsistencyError, match="nabla_D does not raise degree"):
         verify_properties(curve, report, samples=0)
+
+
+# -- mutants of nabla_E that the degree sweep of verify_properties must catch --
+
+MUTANT_LABELS = ["Y_3_2", "D_4", "E_6"]  # over Q, Q(i) and Q(zeta8)
+
+
+def _first_fixture_report(label):
+    entry = catalog_get(label)
+    curve = entry.curve()
+    report = natural_connection(curve, fixture_modules(entry)[0].module(curve))
+    assert report.succeeded
+    return curve, report
+
+
+@pytest.mark.parametrize("label", MUTANT_LABELS)
+def test_verify_properties_catches_nabla_E_scaling_by_w_plus_one(monkeypatch, label):
+    curve, report = _first_fixture_report(label)
+
+    def off_by_one(curve, cover, v):
+        out = ModuleElement(curve.field, {})
+        for w, comp in homogeneous_components(curve, cover, v).items():
+            out = out + comp.scale(curve.field.from_rational(w + 1))
+        return out
+
+    monkeypatch.setattr(connection, "apply_nabla_E", off_by_one)
+    with pytest.raises(ConsistencyError, match=r"nabla_E is not w\*id in degree"):
+        verify_properties(curve, report, samples=0)
+
+
+@pytest.mark.parametrize("label", MUTANT_LABELS)
+def test_verify_properties_catches_nabla_E_wrong_only_above_the_bound(monkeypatch, label):
+    # Only nabla_D images reach degrees above the bound, so the basis vectors
+    # pass the nabla_E check and the commutator identity must fail instead.
+    curve, report = _first_fixture_report(label)
+    lam = curve.wf - curve.wx - curve.wy
+    assert lam > 0
+    bound = default_degree_bound(curve, report.module)
+    assert verify_properties(curve, report, degree_bound=bound, samples=0)["integrable"] > 0
+    real = connection.apply_nabla_E
+
+    def wrong_above(curve, cover, v):
+        out = real(curve, cover, v)
+        if v and element_degree(curve, cover, v) > bound:
+            return out + v
+        return out
+
+    monkeypatch.setattr(connection, "apply_nabla_E", wrong_above)
+    with pytest.raises(ConsistencyError, match="commutator identity failed in degree") as err:
+        verify_properties(curve, report, degree_bound=bound, samples=0)
+    w = int(re.search(r"degree (-?\d+)", str(err.value)).group(1))
+    assert w <= bound < w + lam
+
+
+def test_connect_and_verify_field_product_ceiling(monkeypatch):
+    # natural_connection + verify_properties(samples=5, seed=0) on every D_4
+    # (over Q(i)) and E_6 (over Q(zeta8)) fixture, curves built inside the
+    # count: 3503 products when each call converted its weights and the
+    # commutator took three scalings, 3322 with one.  A count, not a time, so
+    # it does not depend on the machine.
+    products = []
+    real_mul = FieldElement.__mul__
+
+    def counting_mul(a, b):
+        products.append(None)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counting_mul)
+    for label in ("D_4", "E_6"):
+        entry = catalog_get(label)
+        curve = entry.curve()
+        for fx in fixture_modules(entry):
+            report = natural_connection(curve, fx.module(curve))
+            assert report.succeeded
+            verify_properties(curve, report, samples=5, seed=0)
+    assert len(products) <= 3322

@@ -164,10 +164,23 @@ def test_mixed_fields_are_rejected_on_every_product_path():
         (Q_I.generator(), Q_ZETA8.generator()),  # irrational x irrational
         (Q_I.from_rational(2), Q_ZETA12.generator()),  # rational x irrational
     ):
-        with pytest.raises(InputError, match="mismatched field"):
-            x * y
-        with pytest.raises(InputError, match="mismatched field"):
-            y * x
+        for op in (
+            lambda: x * y, lambda: y * x,
+            lambda: x + y, lambda: y + x,
+            lambda: x - y, lambda: y - x,
+        ):
+            with pytest.raises(InputError, match="mismatched field"):
+                op()
+    # An equal field built separately passes the == fallback on every path.
+    again, rational = NumberField((1, 0, 1)), NumberField((0, 1))
+    a, b = again.generator(), Q_I.generator()
+    assert a * b == Q_I.from_rational(-1)
+    assert (a + b, a - b) == (b.scale(2), Q_I.zero())
+    assert again.from_rational(3) * b == b.scale(3) == b * again.from_rational(3)
+    two, third = rational.from_rational(2), QQ.from_rational(Fraction(1, 3))
+    assert (two * third, two + third, two - third) == tuple(
+        QQ.from_rational(v) for v in (Fraction(2, 3), Fraction(7, 3), Fraction(5, 3))
+    )
 
 
 # -- integer coordinates over one common denominator ---------------------------
@@ -215,13 +228,26 @@ def assert_canonical(x):
 
 @pytest.mark.parametrize("fld", DIFFERENTIAL_FIELDS)
 def test_arithmetic_matches_fraction_coordinates(fld):
+    # The pairs reach every path of +, - and *: rational x rational, both
+    # orders of rational x extension element, zero results, and results
+    # whose denominator cancels to 1.
     rng = random.Random(13)
     zero = fld.zero()
+    whole_results = 0
     for _ in range(150):
         x, y = _random_element(rng, fld), _random_element(rng, fld)
-        r = fld.from_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        p, d = rng.randint(-9, 9), rng.randint(1, 9)
+        r = fld.from_rational(Fraction(p, d))
+        r2 = fld.from_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        multiple = fld.from_rational(d * rng.randint(-3, 3))
+        clears_x = fld.from_rational(x.den)
         q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        for a, b in [(x, y), (r, x), (x, r), (x, x), (x, zero), (zero, zero)]:
+        for a, b in [
+            (x, y), (r, x), (x, r), (x, x), (x, zero), (zero, zero),
+            (r, r2), (r2, r), (r, zero), (zero, x), (x, -x), (r, -r),
+            (r, multiple), (multiple, r), (clears_x, x), (x, clears_x),
+            (r, fld.from_rational(Fraction(d - p, d))),
+        ]:
             xs, ys = a.coords, b.coords
             assert (a + b).coords == tuple(s + t for s, t in zip(xs, ys))
             assert (a - b).coords == tuple(s - t for s, t in zip(xs, ys))
@@ -231,11 +257,13 @@ def test_arithmetic_matches_fraction_coordinates(fld):
             assert a.scale(3).coords == tuple(3 * s for s in xs)
             for result in (a + b, a - b, -a, a * b, a.scale(q), a.scale(0)):
                 assert_canonical(result)
+            whole_results += sum(bool(c) and c.den == 1 for c in (a + b, a - b, a * b))
         if x:
             assert x.inv().coords == reference_inv(x)
             assert_canonical(x.inv())
         n = rng.randint(-3 if x else 0, 5)
         assert (x ** n).coords == reference_pow(x, n)
+    assert whole_results > 500
     if fld.degree > 1:
         a = fld.generator()
         assert (a ** (2 * fld.degree)).coords == reference_pow(a, 2 * fld.degree)
@@ -363,3 +391,32 @@ def test_equal_elements_hash_equal_over_Q_and_Q_i():
         assert x == y
         assert hash(x) == hash(y)
     assert len({x for pair in pairs for x in pair}) == len(pairs)
+
+
+@pytest.mark.parametrize("fld", CATALOG_FIELDS)
+def test_integer_conversions_are_kept_and_equal_fresh_ones(fld):
+    pad = (0,) * (fld.degree - 1)
+    for n in (-7, -1, 0, 1, 2, 12, 10 ** 30):
+        e = fld.from_rational(n)
+        assert e is fld.from_rational(n)
+        fresh = fld.from_rational(Fraction(n))  # a Fraction is converted anew
+        assert fresh is not e
+        assert e == fresh and hash(e) == hash(fresh)
+        assert (e.num, e.den) == ((n,) + pad, 1)
+        assert_canonical(e)
+        with pytest.raises(AttributeError):
+            e.num = (n + 1,) + pad
+        assert e.num == (n,) + pad
+    assert fld.from_rational(0) == fld.zero() and fld.from_rational(1) == fld.one()
+
+
+def test_integer_memo_leaves_field_equality_and_hashing_unchanged():
+    again = NumberField((1, 0, 1))
+    before = hash(again)
+    for n in range(-5, 40):
+        again.from_rational(n)
+    assert again == Q_I and hash(again) == before == hash(Q_I)
+    assert {Q_I: 1}[again] == 1
+    assert repr(again) == repr(NumberField((1, 0, 1)))
+    assert again.from_rational(3) is not Q_I.from_rational(3)
+    assert again.from_rational(3) == Q_I.from_rational(3)
