@@ -107,6 +107,9 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
     """Rational roots with multiplicity, sorted by (numerator, denominator).
 
     coeffs are low-first rational coefficients of a nonzero polynomial.
+    Past the zero roots, a factor of degree >= 2 is searched by trial
+    division over +-p/q (p | c_0, q | c_s), deflating each root found; a
+    linear one, from the start or after deflation, has its root read directly.
     """
     coeffs = [as_fraction(c) for c in coeffs]
     while coeffs and not coeffs[-1]:
@@ -131,12 +134,6 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
                 out.append(n // d)
         return sorted(set(out))
 
-    candidates = set()
-    if ints:
-        for p in divisors(ints[0]):
-            for q in divisors(ints[-1]):
-                candidates.add(Fraction(p, q))
-                candidates.add(Fraction(-p, q))
     roots = []
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
@@ -148,15 +145,22 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
         return acc
 
     work = [Fraction(c) for c in ints]
-    for r in sorted(candidates, key=lambda q: (q.numerator, q.denominator)):
-        if len(work) <= 1:
-            break
-        mult = 0
-        while len(work) > 1 and eval_at(work, r) == 0:
-            work = _deflate(work, r)
-            mult += 1
-        if mult:
-            roots.append((r, mult))
+    if len(work) > 2:
+        qs = divisors(ints[-1])
+        candidates = {Fraction(s * p, q) for p in divisors(ints[0]) for q in qs for s in (1, -1)}
+        for r in sorted(candidates, key=lambda q: (q.numerator, q.denominator)):
+            mult = 0
+            while len(work) > 1 and eval_at(work, r) == 0:
+                work = _deflate(work, r)
+                mult += 1
+            if mult:
+                roots.append((r, mult))
+            if len(work) <= 2:
+                break
+    if len(work) == 2:
+        # Every root tried was deflated with its full multiplicity, so the
+        # root of a linear remainder is a new one.
+        roots.append((-work[0] / work[1], 1))
     return sorted(roots, key=lambda t: (t[0].numerator, t[0].denominator))
 
 
@@ -178,8 +182,9 @@ def factor(
 
     Automatic root extraction works over Q only; over an extension the
     caller must supply the branch list explicitly (see QuasiCurve.create).
-    The roots of the mixed factor come from rational_roots (trial
-    division), each branch's b from exact integer roots (_solve_b).
+    The roots of the mixed factor come from rational_roots (read directly
+    when it is linear, by trial division while its degree is >= 2), each
+    branch's b from exact integer roots (_solve_b).
     """
     wx, wy = weights
     if math.gcd(wx, wy) != 1 or wx <= 0 or wy <= 0:

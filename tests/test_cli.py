@@ -1,7 +1,11 @@
 """JSON round-trips and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -367,3 +371,44 @@ def test_cli_rejects_degrees_above_the_budget(tmp_path, capsys):
     assert io.curve_from_json(at_budget).wf == io.DEGREE_BUDGET
     high["generators"][1][0]["exp"] = io.DEGREE_BUDGET
     assert io.module_from_json(curve, high).weights == [0, io.DEGREE_BUDGET]
+
+
+_TIMED_CLI = """
+import sys, time
+from qhc.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print("elapsed %.6f" % (time.perf_counter() - start), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "c, code, message",
+    [
+        (12345678901 ** 3, 0, None),  # a 31-digit cube
+        (10 ** 24 + 7, 1, "b_i not in field"),  # 25 digits, not a cube
+    ],
+)
+def test_cli_branches_of_a_cusp_with_a_large_coefficient(tmp_path, c, code, message):
+    # x^2 + c*y^3 has a linear mixed factor 1 + c*u, whose root is read
+    # directly; a divisor scan of c would not finish. A subprocess turns a
+    # hang into a timeout instead of a stalled suite.
+    spec = {"f": [{"coeff": ["1/1"], "x": 2, "y": 0}, {"coeff": ["%d/1" % c], "x": 0, "y": 3}]}
+    path = _write(tmp_path, "cusp.json", spec)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _TIMED_CLI, "curve", "--in", path, "branches"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert done.returncode == code, done.stderr
+    *err, elapsed = done.stderr.splitlines()
+    assert float(elapsed.split()[1]) < 1.0
+    if message is None:
+        branch, = json.loads(done.stdout)["branches"]
+        assert branch["a"] == ["%d/1" % c] and branch["b"] == ["-1/12345678901"]
+    else:
+        assert message in "\n".join(err) and not done.stdout

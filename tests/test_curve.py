@@ -1,5 +1,6 @@
 """Weights, branch factorization, and normalization maps."""
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -264,6 +265,132 @@ def test_solve_b_takes_roots_of_forty_digit_powers():
         near = QQ.from_rational(-1 / (target + 1))
         with pytest.raises(InputError, match="b_i not in field"):
             _solve_b(QQ, near, wx)
+
+
+def _reference_rational_roots(coeffs):
+    """Rational roots as found before linear factors were read directly:
+    every +-p/q with p | c_0 and q | c_s is tried in (numerator, denominator)
+    order, deflating each root found, until the remainder is constant."""
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    if not coeffs:
+        raise InputError("root finding on the zero polynomial")
+    den_lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den_lcm) for c in coeffs]
+    zero_mult = 0
+    while ints and ints[0] == 0:
+        ints.pop(0)
+        zero_mult += 1
+    candidates = set()
+    if ints:
+        for p in _divisors(ints[0]):
+            for q in _divisors(ints[-1]):
+                candidates.update((Fraction(p, q), Fraction(-p, q)))
+    roots = [(Fraction(0), zero_mult)] if zero_mult else []
+
+    def eval_at(cs, r):
+        acc = Fraction(0)
+        for c in reversed(cs):
+            acc = acc * r + c
+        return acc
+
+    work = [Fraction(c) for c in ints]
+    for r in sorted(candidates, key=lambda q: (q.numerator, q.denominator)):
+        if len(work) <= 1:
+            break
+        mult = 0
+        while len(work) > 1 and eval_at(work, r) == 0:
+            work = curve_module._deflate(work, r)
+            mult += 1
+        if mult:
+            roots.append((r, mult))
+    return sorted(roots, key=lambda t: (t[0].numerator, t[0].denominator))
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+_IRREDUCIBLE = ([1, 0, 1], [-2, 0, 1], [1, 1, 1], [1, 0, 0, 2])  # u^2+1, u^2-2, u^2+u+1, 2u^3+1
+
+
+def random_root_polys(rng, count):
+    """Seeded low-first polynomials of degree 0-5: a unit times linear factors
+    u - p/q with |p|, |q| <= 8 (zero and repeated roots included), some times
+    u^2+1, u^2-2, u^2+u+1 or 2u^3+1."""
+    polys = []
+    while len(polys) < count:
+        degree = rng.randint(0, 5)
+        poly = [Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 7]))]
+        if degree >= 2 and rng.random() < 0.3:
+            extra = rng.choice([e for e in _IRREDUCIBLE if len(e) - 1 <= degree])
+            poly = _poly_mul(poly, [Fraction(c) for c in extra])
+        roots = []
+        while len(poly) - 1 < degree:
+            if roots and rng.random() < 0.25:
+                root = rng.choice(roots)
+            else:
+                root = Fraction(rng.randint(-8, 8), rng.randint(1, 8))
+            roots.append(root)
+            poly = _poly_mul(poly, [-root, Fraction(1)])
+        polys.append(poly)
+    return polys
+
+
+def _mutant_rational_roots(old, new):
+    """rational_roots with one line of its source replaced."""
+    source = inspect.getsource(curve_module.rational_roots)
+    assert source.count(old) == 1
+    namespace = dict(vars(curve_module))
+    exec(source.replace(old, new), namespace)
+    return namespace["rational_roots"]
+
+
+def test_rational_roots_agrees_with_full_scan(rng):
+    polys = random_root_polys(rng, 500)
+    mutants = [
+        _mutant_rational_roots("roots.append((r, mult))", "roots.append((r, 1))"),
+        _mutant_rational_roots(
+            "return sorted(roots, key=lambda t: (t[0].numerator, t[0].denominator))",
+            "return roots",
+        ),
+    ]
+    caught = [0] * len(mutants)
+    read_off = repeated = irreducible = 0
+    for poly in polys:
+        expected = _reference_rational_roots(poly)
+        assert rational_roots(poly) == expected, poly
+        for k, mutant in enumerate(mutants):
+            caught[k] += mutant(poly) != expected
+        found = sum(m for _, m in expected)
+        repeated += any(m > 1 for _, m in expected)
+        irreducible += found < len(poly) - 1
+        read_off += found == len(poly) - 1 > 0
+    assert min(caught) > 0, caught
+    assert read_off and repeated and irreducible
+
+
+def test_factor_errors_agree_with_full_scan(rng, monkeypatch):
+    # P(u) with u = y^wx/x^wy becomes f = sum_j c_j x^{(s-j)wy} y^{j*wx}.
+    outcomes = {}
+    for finder in (rational_roots, _reference_rational_roots):
+        monkeypatch.setattr(curve_module, "rational_roots", finder)
+        rows = outcomes[finder] = []
+        for poly in random_root_polys(random.Random(20261019), 300):
+            s = len(poly) - 1
+            for wx, wy in ((1, 1), (3, 2)):
+                f = rational_poly(QQ, {((s - j) * wy, j * wx): c for j, c in enumerate(poly) if c})
+                rows.append(_outcome(lambda: factor(f, (wx, wy), QQ)))
+    new, old = outcomes[rational_roots], outcomes[_reference_rational_roots]
+    assert new == old
+    messages = {m.split(":")[0] for m in new if isinstance(m, str)}
+    assert {"not reduced", "root not in field", "b_i not in field"} <= messages
+    assert any(not isinstance(m, str) for m in new)
 
 
 def test_only_the_mixed_factor_uses_trial_division(monkeypatch):
