@@ -2,7 +2,7 @@
 quasi-homogeneous plane curves."""
 
 from .curve import Branch, BranchKind, QuasiCurve, factor, infer_weights
-from .derivation import euler, extend, koszul, koszul_data, q_element
+from .derivation import euler, extend, koszul, q_element
 from .field import FieldElement, NumberField, QQ
 from .module import FreeCover, GradedSubmodule, ModuleElement
 from .poly import BiPoly, UniPoly
@@ -17,7 +17,6 @@ __all__ = [
     "euler",
     "extend",
     "koszul",
-    "koszul_data",
     "q_element",
     "FieldElement",
     "NumberField",

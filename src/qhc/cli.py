@@ -21,7 +21,7 @@ from . import io
 from .catalog import catalog_get, catalog_labels, fixture_modules
 from .connection import natural_connection, verify_properties
 from .curve import QuasiCurve
-from .derivation import extend, euler, koszul, koszul_data, q_element
+from .derivation import extend, koszul, q_element
 from .errors import ConsistencyError, InputError, QhcError
 from .field import fraction_str
 from .module import GradedSubmodule
@@ -90,26 +90,24 @@ def _semigroup_report(curve: QuasiCurve, max_degree: Optional[int]) -> Dict[str,
 
 
 def _derivation_report(curve: QuasiCurve) -> Dict[str, Any]:
-    ext = extend(curve, koszul(curve))
-    data = koszul_data(curve, ext)
     q = q_element(curve)
+    ext = extend(curve, koszul(curve))
     branches = []
     for i in range(curve.r):
+        beta, c = ext[i]
         branches.append(
             {
                 "branch": i + 1,
-                "beta": data.betas[i].to_json(),
-                "c": data.conductors[i],
-                "g": q.exps[i],
-                "delta": term_str(ext.deltas[i]),
+                "beta": beta.to_json(),
+                "c": c,
+                "g": q[i][1],
+                "delta": term_str(ext[i]),
             }
         )
     return {
         "koszul_weight": curve.wf - curve.wx - curve.wy,
         "branches": branches,
-        "q": [
-            {"coeff": c.to_json(), "exp": e} for c, e in zip(q.coeffs, q.exps)
-        ],
+        "q": [{"coeff": c.to_json(), "exp": e} for c, e in q],
         "q_in_A_colon_m": True,  # q_element raises otherwise
     }
 

@@ -15,7 +15,7 @@ from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
 from .curve import QuasiCurve
-from .derivation import QElement, euler, koszul, q_element
+from .derivation import euler, koszul, q_element
 from .errors import ConsistencyError, InputError
 from .module import (
     FreeCover,
@@ -44,10 +44,10 @@ def apply_nabla_E(curve: QuasiCurve, cover: FreeCover, v: ModuleElement) -> Modu
 
 
 def _nabla_D_homogeneous(
-    curve: QuasiCurve, v: ModuleElement, w: int, q: QElement
+    curve: QuasiCurve, v: ModuleElement, w: int, q: tuple
 ) -> ModuleElement:
     """q * (w v) in one pass: the key (i, j, e) goes to (i, j, e + g_i)
-    with coefficient (w c_i) * c, where q_i = c_i t_i^{g_i}; w c_i is
+    with coefficient (w c_i) * c, where q_i = (c_i, g_i); w c_i is
     computed once for each branch that v has a key on."""
     wq = curve.field.from_rational(w)
     if not wq:
@@ -57,13 +57,13 @@ def _nabla_D_homogeneous(
     for (i, j, e), c in v.coeffs.items():
         f = factors.get(i)
         if f is None:
-            f = factors[i] = wq * q.coeffs[i]
-        out[(i, j, e + q.exps[i])] = f * c
+            f = factors[i] = wq * q[i][0]
+        out[(i, j, e + q[i][1])] = f * c
     return _of(curve.field, out)
 
 
 def apply_nabla_D(
-    curve: QuasiCurve, cover: FreeCover, v: ModuleElement, q: QElement
+    curve: QuasiCurve, cover: FreeCover, v: ModuleElement, q: tuple
 ) -> ModuleElement:
     """nabla_D = q * nabla_E, extended additively over components."""
     return _sum(curve.field, [
@@ -73,7 +73,7 @@ def apply_nabla_D(
 
 
 def check_stability(
-    M: GradedSubmodule, q: QElement
+    M: GradedSubmodule, q: tuple
 ) -> Tuple[bool, List[Tuple[ModuleElement, Optional[Witness]]]]:
     """nabla_D(m_l) in M for every generator.
 

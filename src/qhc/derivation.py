@@ -29,25 +29,6 @@ class DerivationOnA:
         return self.px * h.dx() + self.py * h.dy()
 
 
-@dataclass(frozen=True)
-class ExtendedDerivation:
-    deltas: tuple  # one term (c, e) or None per branch
-
-
-@dataclass(frozen=True)
-class KoszulData:
-    betas: tuple  # beta_i in k^*
-    conductors: tuple  # c_i
-
-
-@dataclass(frozen=True)
-class QElement:
-    """q = ((beta_1/d_1) t_1^{g_1}, ..., (beta_r/d_r) t_r^{g_r})."""
-
-    coeffs: tuple  # FieldElement per branch
-    exps: tuple  # g_i per branch
-
-
 def euler(curve: QuasiCurve) -> DerivationOnA:
     """E = w_x x d/dx + w_y y d/dy, homogeneous of weight 0."""
     fld = curve.field
@@ -82,8 +63,9 @@ def preserves_ideal(curve: QuasiCurve, P: DerivationOnA) -> bool:
     return not any(curve.normalization_image(P.apply(curve.f)))
 
 
-def extend(curve: QuasiCurve, P: DerivationOnA) -> ExtendedDerivation:
-    """Canonical extension of P to the normalization, one delta per branch.
+def extend(curve: QuasiCurve, P: DerivationOnA) -> tuple:
+    """Canonical extension of P to the normalization: one term (c, e) or
+    None per branch, the delta_i of ~P_i = delta_i(t_i) * d/dt_i.
 
     By the chain rule n_i(P u) = delta_i * d/dt n_i(u) for u in {x, y}:
     delta_i is solved on the first coordinate whose image has a nonzero
@@ -105,39 +87,14 @@ def extend(curve: QuasiCurve, P: DerivationOnA) -> ExtendedDerivation:
         if any(_times(delta, s) != n[i] for s, n in zip(slopes, images)):
             raise InputError("inconsistent extension on branch %d" % (i + 1))
         deltas.append(delta)
-    return ExtendedDerivation(tuple(deltas))
+    return tuple(deltas)
 
 
-def koszul_data(
-    curve: QuasiCurve, ext: Optional[ExtendedDerivation] = None
-) -> KoszulData:
-    """beta_i and c_i read off the extended Koszul derivation.
-
-    Each delta_i must be a term beta_i t^{c_i} with c_i matching the
-    semigroup conductor; anything else is an internal inconsistency.
-    ext is extend(curve, koszul(curve)) when the caller already has it.
-    """
-    if ext is None:
-        ext = extend(curve, koszul(curve))
-    betas = []
-    conductors = []
-    for i, delta in enumerate(ext.deltas):
-        if delta is None:
-            raise ConsistencyError("extended Koszul delta vanishes on branch %d" % (i + 1))
-        beta, c = delta
-        expected = gamma_formula(curve, i).conductor
-        if c != expected:
-            raise ConsistencyError(
-                "Koszul exponent %d != semigroup conductor %d on branch %d"
-                % (c, expected, i + 1)
-            )
-        betas.append(beta)
-        conductors.append(c)
-    return KoszulData(tuple(betas), tuple(conductors))
-
-
-def q_element(curve: QuasiCurve) -> QElement:
-    """q with ~D = q * ~E, verified together with q*x, q*y in A.
+def q_element(curve: QuasiCurve) -> tuple:
+    """q = ((beta_1/d_1) t_1^{c_1-1}, ..., (beta_r/d_r) t_r^{c_r-1}), one
+    term (c, e) per branch, read off the extended Koszul derivation
+    ~D_i = beta_i t_i^{c_i}: ~D = q * ~E, verified together with q*x, q*y
+    in A.
 
     Computed once per curve and kept on it.
     """
@@ -148,32 +105,37 @@ def q_element(curve: QuasiCurve) -> QElement:
     return q
 
 
-def _compute_q(curve: QuasiCurve) -> QElement:
+def _compute_q(curve: QuasiCurve) -> tuple:
     ext_d = extend(curve, koszul(curve))
-    data = koszul_data(curve, ext_d)
-    fld = curve.field
-    coeffs = []
-    exps = []
-    for i, br in enumerate(curve.branches):
-        g = data.conductors[i] - 1
-        if g < 0:
-            raise InputError(
-                "q is not defined for a smooth branch (negative Frobenius number)"
+    # Each delta_i must be a term beta_i t^{c_i} with c_i the semigroup
+    # conductor; anything else is an internal inconsistency.
+    for i, delta in enumerate(ext_d):
+        if delta is None:
+            raise ConsistencyError("extended Koszul delta vanishes on branch %d" % (i + 1))
+        expected = gamma_formula(curve, i).conductor
+        if delta[1] != expected:
+            raise ConsistencyError(
+                "Koszul exponent %d != semigroup conductor %d on branch %d"
+                % (delta[1], expected, i + 1)
             )
-        coeffs.append(data.betas[i] / fld.from_rational(br.t_degree))
-        exps.append(g)
-    q = QElement(tuple(coeffs), tuple(exps))
+    fld = curve.field
+    q = tuple(
+        (beta / fld.from_rational(br.t_degree), c - 1)
+        for (beta, c), br in zip(ext_d, curve.branches)
+    )
     # ~D = q * ~E componentwise
     ext_e = extend(curve, euler(curve))
-    for i, (c, g) in enumerate(zip(coeffs, exps)):
-        if _times((c, g), ext_e.deltas[i]) != ext_d.deltas[i]:
+    for i in range(curve.r):
+        if _times(q[i], ext_e[i]) != ext_d[i]:
             raise ConsistencyError("~D != q*~E on branch %d" % (i + 1))
     # q in (A:m): q*n(x) and q*n(y) are elements of A of degree lam + w_x, lam + w_y
     ring = coordinate_ring(curve)
     lam = curve.wf - curve.wx - curve.wy
-    q_vec = _of(fld, {(i, 0, g): c for i, (c, g) in enumerate(zip(coeffs, exps))})
+    q_vec = _of(fld, {(i, 0, g): c for i, (c, g) in enumerate(q)})
     for (a, b), wh in (((1, 0), curve.wx), ((0, 1), curve.wy)):
         v = q_vec.act(curve.monomial_terms(a, b))
         if not element_degrees(curve, ring.cover, v) <= {lam + wh} or not ring.is_member(v):
             raise ConsistencyError("q*m does not land in A")
+    if any(g < 0 for _, g in q):
+        raise InputError("q is not defined for a smooth branch (negative Frobenius number)")
     return q

@@ -95,9 +95,12 @@ class NumberField:
         d = len(coeffs) - 1
         if d > 1:
             # gcd(p, p') by Euclid: a common factor means a repeated root.
+            # Each remainder is made monic, which keeps its coefficients
+            # from growing exponentially in the degree.
             r0 = list(coeffs)
             r1 = [c * k for k, c in enumerate(coeffs)][1:]
             while r1:
+                r1 = [c / r1[-1] for c in r1]
                 r0, r1 = r1, _poly_divmod(r0, r1)[1]
             if len(r0) > 1:
                 raise InputError("min_poly must be square-free")

@@ -20,6 +20,10 @@ from .poly import BiPoly
 # The largest weighted degree of f, absolute generator degree and
 # --max-degree an input may ask for: work grows faster than linearly in them.
 DEGREE_BUDGET = 2000
+# The largest min_poly degree a CurveSpec may give: the square-free check
+# and field arithmetic grow faster than linearly in it.  The catalog's
+# largest is 4.
+MIN_POLY_DEGREE_BUDGET = 32
 
 
 def _integer(value: Any, name: str) -> int:
@@ -36,7 +40,13 @@ def curve_from_json(data: Dict[str, Any]) -> QuasiCurve:
         raise InputError("a CurveSpec must be a JSON object")
     try:
         field_data = data.get("field", {"min_poly": ["0/1", "1/1"]})
-        field = NumberField(tuple(as_fraction(c) for c in field_data["min_poly"]))
+        min_poly = field_data["min_poly"]
+        if len(min_poly) - 1 > MIN_POLY_DEGREE_BUDGET:
+            raise InputError(
+                "min_poly has degree %d, above the budget %d"
+                % (len(min_poly) - 1, MIN_POLY_DEGREE_BUDGET)
+            )
+        field = NumberField(tuple(as_fraction(c) for c in min_poly))
         terms = {}
         for term in data["f"]:
             coeff = element_from_json(field, term["coeff"])

@@ -40,10 +40,6 @@ class FreeCover:
 
     shifts: tuple  # tuple of tuples of ints, one inner tuple per branch
 
-    @property
-    def ranks(self) -> Tuple[int, ...]:
-        return tuple(len(s) for s in self.shifts)
-
     def slots(self):
         for i, branch_shifts in enumerate(self.shifts):
             for j in range(len(branch_shifts)):

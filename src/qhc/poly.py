@@ -7,7 +7,7 @@ Coefficients live in a NumberField.  Representations are canonical
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .errors import InputError, NotHomogeneousError
 from .field import FieldElement, NumberField

@@ -18,11 +18,6 @@ def rational_poly(field, terms):
     )
 
 
-def q_vector(q):
-    """q as the vector of branch terms (c_i, g_i), meaning c_i t_i^{g_i}."""
-    return tuple(zip(q.coeffs, q.exps))
-
-
 def times(s, t):
     """The product of two branch terms (c, e), None standing for zero."""
     return None if s is None or t is None else (s[0] * t[0], s[1] + t[1])

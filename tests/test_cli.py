@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -271,6 +272,17 @@ def test_cli_rejects_a_min_poly_with_a_repeated_root(tmp_path, capsys):
     assert err == "input error: min_poly must be square-free\n"
 
 
+def test_cli_derivations_reject_a_smooth_curve(tmp_path, capsys):
+    # x^2 + y passes every consistency check on q, whose exponent is -1,
+    # and is then an input error.
+    spec = {"f": [{"coeff": ["1/1"], "x": 2, "y": 0}, {"coeff": ["1/1"], "x": 0, "y": 1}]}
+    path = _write(tmp_path, "smooth.json", spec)
+    assert main(["curve", "--in", path, "derivations"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: q is not defined for a smooth branch (negative Frobenius number)\n"
+
+
 _HUGE = "HUGE"  # written to the file as the JSON number 1e400
 
 
@@ -412,3 +424,30 @@ def test_cli_branches_of_a_cusp_with_a_large_coefficient(tmp_path, c, code, mess
         assert branch["a"] == ["%d/1" % c] and branch["b"] == ["-1/12345678901"]
     else:
         assert message in "\n".join(err) and not done.stdout
+
+
+def test_cli_rejects_a_min_poly_above_the_degree_budget(tmp_path):
+    # The square-free check on this dense degree-160 min_poly ran past
+    # 120 s; the budget rejects it before the field is built.
+    rng = random.Random(160)
+    min_poly = ["%d/1" % rng.randint(-9, 9) for _ in range(160)] + ["1/1"]
+    spec = {"field": {"min_poly": min_poly},
+            "f": [{"coeff": ["1/1"], "x": 2, "y": 0}, {"coeff": ["1/1"], "x": 0, "y": 3}]}
+    path = _write(tmp_path, "curve.json", spec)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _TIMED_CLI, "curve", "--in", path, "info"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert done.returncode == 1 and not done.stdout
+    err, elapsed = done.stderr.splitlines()
+    assert err == "input error: min_poly has degree 160, above the budget %d" % io.MIN_POLY_DEGREE_BUDGET
+    assert float(elapsed.split()[1]) < 1.0
+    # The budget itself is allowed.
+    spec["field"]["min_poly"] = ["1/1"] + ["0/1"] * (io.MIN_POLY_DEGREE_BUDGET - 1) + ["1/1"]
+    one = ["1/1"] + ["0/1"] * (io.MIN_POLY_DEGREE_BUDGET - 1)
+    spec.update(weights=[1, 1], f=[{"coeff": one, "x": 1, "y": 1}])
+    assert io.curve_from_json(spec).field.degree == io.MIN_POLY_DEGREE_BUDGET

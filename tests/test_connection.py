@@ -16,7 +16,7 @@ from qhc.connection import (
     natural_connection,
     verify_properties,
 )
-from qhc.derivation import QElement, q_element
+from qhc.derivation import q_element
 from qhc.errors import ConsistencyError, InputError
 from qhc.field import QQ, FieldElement
 from qhc.module import (
@@ -198,7 +198,7 @@ def reference_nabla_E(curve, cover, v):
 
 
 def reference_nabla_D(curve, cover, v, q):
-    qvec = [UniPoly.monomial(curve.field, c, e) for c, e in zip(q.coeffs, q.exps)]
+    qvec = [UniPoly.monomial(curve.field, c, e) for c, e in q]
     out = ModuleElement(curve.field, {})
     for w, comp in reference_components(curve, cover, v).items():
         out = out + reference_act(comp.scale(curve.field.from_rational(w)), qvec)
@@ -253,7 +253,7 @@ def test_verify_properties_catches_a_q_of_the_wrong_degree(monkeypatch):
     curve = y_family_curve(3, 2)
     report = natural_connection(curve, case1_module(curve, 3))
     real = q_element(curve)
-    raised = QElement(real.coeffs, tuple(e + 1 for e in real.exps))
+    raised = tuple((c, e + 1) for c, e in real)
     monkeypatch.setattr(connection, "q_element", lambda c: raised)
     with pytest.raises(ConsistencyError, match="nabla_D does not raise degree"):
         verify_properties(curve, report, samples=0)

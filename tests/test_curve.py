@@ -28,7 +28,6 @@ from qhc.semigroup import gamma_formula
 from conftest import (
     cusp_curve,
     poly_of,
-    q_vector,
     random_reduced_curve,
     rational_poly,
     times,
@@ -505,7 +504,7 @@ def _membership_targets(curve, rng):
                 for ab in rng.sample(monos, rng.randint(1, len(monos)))
             })
             yield curve.normalization_image(h), w
-    q = q_vector(q_element(curve))
+    q = q_element(curve)
     lam = curve.wf - curve.wx - curve.wy
     for (a, b), wh in (((1, 0), curve.wx), ((0, 1), curve.wy)):
         yield tuple(map(times, q, curve.monomial_terms(a, b))), lam + wh

@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from qhc.curve import QuasiCurve
 from qhc.derivation import (
     DerivationOnA,
-    QElement,
     euler,
     extend,
     koszul,
-    koszul_data,
     preserves_ideal,
     q_element,
 )
@@ -18,7 +17,7 @@ from qhc.errors import InputError
 from qhc.field import QQ
 from qhc.poly import BiPoly, monomials_of_weight
 
-from conftest import cusp_curve, q_vector, rational_poly, times, y_family_curve
+from conftest import cusp_curve, rational_poly, times, y_family_curve
 
 
 def _t(exp, coeff=1):
@@ -30,7 +29,7 @@ def apply_extension(ext, images):
     """~P on a branch image: delta_i * d/dt of each term (c, e)."""
     return tuple(
         None if n is None or not n[1] else times(d, (n[0].scale(n[1]), n[1] - 1))
-        for d, n in zip(ext.deltas, images)
+        for d, n in zip(ext, images)
     )
 
 
@@ -85,21 +84,21 @@ def test_both_derivations_preserve_the_ideal():
 def test_extension_of_euler_is_the_weighted_scaling():
     for curve in (y_family_curve(3, 2), y_family_curve(5, 2), cusp_curve()):
         ext = extend(curve, euler(curve))
-        for br, delta in zip(curve.branches, ext.deltas):
+        for br, delta in zip(curve.branches, ext):
             assert delta == _t(1, br.t_degree)
 
 
 def test_extension_of_koszul_on_the_reducible_example():
     curve = y_family_curve(3, 2)
     ext = extend(curve, koszul(curve))
-    assert ext.deltas == (_t(2), _t(4, -1))
+    assert ext == (_t(2), _t(4, -1))
 
 
 def test_extension_of_the_zero_derivation():
     curve = y_family_curve(3, 2)
     zero = DerivationOnA(BiPoly.zero(QQ), BiPoly.zero(QQ), 0)
     ext = extend(curve, zero)
-    assert ext.deltas == (None,) * curve.r
+    assert ext == (None,) * curve.r
 
 
 def test_extension_rejects_non_tangent_derivations():
@@ -112,28 +111,36 @@ def test_extension_rejects_non_tangent_derivations():
 
 
 def test_koszul_data_on_the_reducible_example():
-    data = koszul_data(y_family_curve(3, 2))
-    assert [b.as_rational() for b in data.betas] == [1, -1]
-    assert data.conductors == (2, 4)
+    curve = y_family_curve(3, 2)
+    ext = extend(curve, koszul(curve))
+    assert [beta.as_rational() for beta, _ in ext] == [1, -1]
+    assert tuple(c for _, c in ext) == (2, 4)
 
 
 def test_koszul_data_on_the_cusp():
-    data = koszul_data(cusp_curve())
-    assert data.conductors == (2,)
-    assert data.betas[0]
+    curve = cusp_curve()
+    ((beta, c),) = extend(curve, koszul(curve))
+    assert c == 2
+    assert beta
 
 
 def test_q_element_on_the_reducible_example():
     q = q_element(y_family_curve(3, 2))
-    assert q.exps == (1, 3)
-    assert [c.as_rational() for c in q.coeffs] == [Fraction(1, 3), -1]
+    assert tuple(e for _, e in q) == (1, 3)
+    assert [c.as_rational() for c, _ in q] == [Fraction(1, 3), -1]
+
+
+def test_q_element_rejects_a_smooth_curve():
+    smooth = QuasiCurve.create(QQ, rational_poly(QQ, {(2, 0): 1, (0, 1): 1}), (1, 2))
+    with pytest.raises(InputError, match="q is not defined for a smooth branch"):
+        q_element(smooth)
 
 
 def test_q_element_weight_identity():
     for curve in (y_family_curve(3, 2), y_family_curve(4, 3), cusp_curve()):
         q = q_element(curve)
         lam = curve.wf - curve.wx - curve.wy
-        for br, e in zip(curve.branches, q.exps):
+        for br, (_, e) in zip(curve.branches, q):
             assert e * br.t_degree == lam
 
 
@@ -141,17 +148,15 @@ def test_q_vector_and_equality():
     curve = y_family_curve(3, 2)
     q = q_element(curve)
     # q = ((1/3) t_1, -t_2^3): q*n(x) is ((1/3) t_1^2, -t_2^6) below.
-    assert q_vector(q) == (_t(1, Fraction(1, 3)), _t(3, -1))
-    again = QElement(q.coeffs, q.exps)
+    assert q == (_t(1, Fraction(1, 3)), _t(3, -1))
+    again = tuple((c, e) for c, e in q)
     assert again == q and hash(again) == hash(q)
-    assert q_vector(again) == q_vector(q)
 
 
 def test_q_times_x_lands_in_the_image():
     curve = y_family_curve(3, 2)
     q = q_element(curve)
-    qvec = q_vector(q)
-    prod = tuple(map(times, qvec, curve.monomial_terms(1, 0)))
+    prod = tuple(map(times, q, curve.monomial_terms(1, 0)))
     witness = curve.image_membership(prod, curve.wf - curve.wy)
     assert witness is not None
     # ((1/3) t_1^2, -t_2^6) = (1/3) n(x^2) - (4/3) n(y^3)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -374,6 +375,22 @@ def test_min_poly_with_a_repeated_root_rejected(min_poly):
 @pytest.mark.parametrize("min_poly", [(0, 1), (5, 1), (-1, 0, 1), (1, 0, 0, 0, 1)])
 def test_square_free_min_polys_accepted(min_poly):
     assert NumberField(min_poly).degree == len(min_poly) - 1
+
+
+def test_square_free_check_of_a_dense_min_poly_is_fast():
+    # Euclid on (p, p') without monic remainders took 8.4 s on this degree-80
+    # p, its coefficients growing exponentially in the degree.
+    rng = random.Random(80)
+    p = [rng.randint(-9, 9) for _ in range(78)] + [1]
+    squared = [0] * 81  # p * (a - 1)^2
+    for k, c in enumerate(p):
+        for j, d in enumerate((1, -2, 1)):
+            squared[k + j] += c * d
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="square-free"):
+        NumberField(tuple(squared))
+    assert NumberField(tuple(rng.randint(-9, 9) for _ in range(80)) + (1,)).degree == 80
+    assert time.perf_counter() - start < 1
 
 
 def test_equal_elements_hash_equal_over_Q_and_Q_i():
