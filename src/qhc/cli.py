@@ -6,8 +6,9 @@ Subcommands:
   qhc catalog --label A --index 2 {list|info|fixtures}
   qhc selftest
 
-Exit codes: 0 success, 1 input error, 2 internal-consistency failure,
-3 no natural connection found (the report is still emitted).
+Exit codes: 0 success (and --help), 1 input error (a usage error too),
+2 internal-consistency failure, 3 no natural connection found (the report
+is still emitted).
 """
 
 from __future__ import annotations
@@ -257,16 +258,27 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an InputError, so it exits 1 like bad input."""
+
+    def error(self, message):
+        raise InputError("%s: %s" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qhc",
         description="Graded connections on modules over quasi-homogeneous plane curves",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def formats(p):
         p.add_argument("--format", choices=("json", "text"), default="json")
+
+    def max_degree(p):
         p.add_argument("--max-degree", type=int, default=None)
+
+    def sampling(p):
         p.add_argument("--samples", type=int, default=100)
         p.add_argument("--seed", type=int, default=0)
 
@@ -275,38 +287,41 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument(
         "action", choices=("info", "branches", "semigroups", "derivations")
     )
-    common(p_curve)
+    formats(p_curve)
+    max_degree(p_curve)
     p_curve.set_defaults(func=cmd_curve)
 
     p_mod = sub.add_parser("module", help="check or connect a module spec")
     p_mod.add_argument("--curve", required=True)
     p_mod.add_argument("--module", required=True)
     p_mod.add_argument("action", choices=("check", "connect"))
-    common(p_mod)
+    formats(p_mod)
+    max_degree(p_mod)
+    sampling(p_mod)
     p_mod.set_defaults(func=cmd_module)
 
     p_cat = sub.add_parser("catalog", help="preset singularities and fixtures")
     p_cat.add_argument("--label", default=None)
     p_cat.add_argument("--index", default=None, help="integer, or m,n for the Y family")
     p_cat.add_argument("action", choices=("list", "info", "fixtures"))
-    common(p_cat)
+    formats(p_cat)
     p_cat.set_defaults(func=cmd_catalog)
 
     p_self = sub.add_parser("selftest", help="run built-in consistency checks")
-    common(p_self)
+    sampling(p_self)
     p_self.set_defaults(func=cmd_selftest)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.max_degree is not None and args.max_degree < 0:
+        args = build_parser().parse_args(argv)
+        max_degree = getattr(args, "max_degree", None)
+        if max_degree is not None and max_degree < 0:
             raise InputError("--max-degree must be nonnegative")
-        if args.max_degree is not None and args.max_degree > io.DEGREE_BUDGET:
-            raise InputError("--max-degree %d is above the budget %d" % (args.max_degree, io.DEGREE_BUDGET))
-        if args.samples < 0:
+        if max_degree is not None and max_degree > io.DEGREE_BUDGET:
+            raise InputError("--max-degree %d is above the budget %d" % (max_degree, io.DEGREE_BUDGET))
+        if getattr(args, "samples", 0) < 0:
             raise InputError("--samples must be nonnegative")
         return args.func(args)
     except InputError as exc:

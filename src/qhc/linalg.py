@@ -4,10 +4,9 @@ Matrices are lists of rows of FieldElement.  Everything is small and
 exact; no pivoting heuristics beyond first nonzero entry.  One routine,
 Elimination, reduces columns in order; solve and independent_subset are
 built on it, and graded modules keep one per degree.  Yes/no membership
-(in_span) reads an echelon of the kept columns and needs no inverse; a
-solution (solve) reduces the right-hand side against the same echelon and
-back-substitutes through the steps that built it, with at most one
-inverse.
+(in_span) reads a fraction-free echelon of the kept columns and needs no
+inverse; a solution (solve) eliminates the square system of the kept
+columns on the echelon's pivot rows.
 """
 
 from __future__ import annotations
@@ -27,14 +26,8 @@ def _columns(matrix: List[List[FieldElement]]) -> List[List[FieldElement]]:
 
 
 def _pivot_columns(elimination: "Elimination", columns) -> List[int]:
-    """Add columns in order until full rank; indices of the pivot columns."""
-    pivots = []
-    for idx, col in enumerate(columns):
-        if elimination.full:
-            break
-        if elimination.add(col):
-            pivots.append(idx)
-    return pivots
+    """Add columns in order; indices of the ones kept as pivot columns."""
+    return [idx for idx, col in enumerate(columns) if elimination.add(col)]
 
 
 def solve(
@@ -77,21 +70,28 @@ class Elimination:
     so the kept columns are the greedy independent choice, and keeps it
     reduced against the earlier ones in an echelon: fraction-free, by steps
     v -> lead * v - x * e with x = v[p] on the pivot row p of an earlier
-    vector e, so add needs no inverse.  It records those steps.  in_span
-    decides membership in the span from that echelon, at once when the
-    rank is full.  solve reduces a right-hand side the same way and
-    back-substitutes through the recorded steps, last vector first, into
-    the coefficients on the kept columns of the solution whose free
-    variables are zero, which is unique.
+    vector e, so add needs no inverse.  in_span decides membership in the
+    span from that echelon, at once when the rank is full.
+
+    solve reads the k x k system K_P of the kept columns on the echelon's
+    pivot rows p_0, ..., p_k-1, in echelon order.  A step against e_j zeroes
+    row p_j and keeps the zeros of the earlier steps, so e_i[p_j] = 0 for
+    j < i: on those rows the echelon is lower triangular with its nonzero
+    leads on the diagonal.  Kept column i is a combination of e_0, ..., e_i
+    with a nonzero multiple of e_i, so K_P is that triangle times an upper
+    triangular matrix with no zero on its diagonal.  Every leading
+    principal minor of K_P is nonzero, and Gaussian elimination on it
+    needs no row exchange.  The kept columns are independent, so a vector
+    in their span is K c for exactly one c, and c solves K_P c = rhs_P.
     """
 
     def __init__(self, nrows: int, field: NumberField):
         self.nrows = nrows
         self.field = field
-        # Per kept column: its pivot row, its reduced vector, the entry
-        # there (None when it is one) and the steps (j, x) that reduced it.
+        self._kept: List[List[FieldElement]] = []
+        # Per kept column: its pivot row, its reduced vector and the entry
+        # there (None when it is one).
         self._echelon: List[tuple] = []
-        self._backs: dict = {}  # per kept column, from its first solve: see _back
 
     @property
     def rank(self) -> int:
@@ -101,19 +101,13 @@ class Elimination:
     def full(self) -> bool:
         return self.rank == self.nrows
 
-    def _reduce(self, vec: List[FieldElement], steps: Optional[list] = None) -> List[FieldElement]:
-        """vec reduced against the echelon: zero exactly when in the span.
-
-        Each step v -> lead_j * v - x * e_j taken is appended to steps as
-        (j, x) when steps is a list.
-        """
+    def _reduce(self, vec: List[FieldElement]) -> List[FieldElement]:
+        """vec reduced against the echelon: zero exactly when in the span."""
         v = list(vec)
-        for j, (p, e, lead, _) in enumerate(self._echelon):
+        for p, e, lead in self._echelon:
             x = v[p]
             if not x:
                 continue
-            if steps is not None:
-                steps.append((j, x))
             if lead is not None:
                 v = [lead * a if a else a for a in v]
             for r, b in enumerate(e):
@@ -126,13 +120,13 @@ class Elimination:
         """Keep one more column when it adds a pivot; True when it does."""
         if self.full:
             return False
-        steps: list = []
-        v = self._reduce(col, steps)
+        v = self._reduce(col)
         pivot = next((r for r, x in enumerate(v) if x), None)
         if pivot is None:
             return False
         lead = v[pivot]
-        self._echelon.append((pivot, v, None if lead == self.field.one() else lead, steps))
+        self._kept.append(col)
+        self._echelon.append((pivot, v, None if lead == self.field.one() else lead))
         return True
 
     def in_span(self, vec: List[FieldElement]) -> bool:
@@ -140,50 +134,24 @@ class Elimination:
         return self.full or not any(self._reduce(vec))
 
     def solve(self, rhs: List[FieldElement]) -> Optional[List[FieldElement]]:
-        """Coefficients on the pivot columns of the unique solution, or None."""
-        steps: list = []
-        if any(self._reduce(rhs, steps)):
+        """Coefficients on the kept columns of the unique solution, or None."""
+        if not self.in_span(rhs):
             return None
-        echelon = self._echelon
-        # Undone last first, the steps write scale * rhs as a combination of
-        # echelon vectors, scale being the product of the leads they met.
-        coeffs = [self.field.zero()] * self.rank
-        scale = None
-        for j, x in reversed(steps):
-            coeffs[j] = x if scale is None else x * scale
-            lead = echelon[j][2]
-            if lead is not None:
-                scale = lead if scale is None else scale * lead
-        # Back-substitution.  By its steps, e_k = P * col_k - the sum of
-        # x * (the leads of its later steps) * e_j, P all their leads; so
-        # c * e_k is c * P on col_k less c times that sum, whose e_j come
-        # later in this loop.
-        for k in range(self.rank - 1, -1, -1):
-            t = coeffs[k]
-            if not t:
-                continue
-            multipliers, leads = self._back(k)
-            for j, m in multipliers:
-                term = m * t
-                coeffs[j] = coeffs[j] - term if coeffs[j] else -term
-            coeffs[k] = t if leads is None else t * leads
-        if scale is None:
-            return coeffs
-        inv = scale.inv()
-        return [c * inv if c else c for c in coeffs]
-
-    def _back(self, k: int) -> tuple:
-        """Back-substitution's factors for echelon vector k, kept from its first
-        use: [(j, x * the leads of the steps after it)] over its recorded
-        steps, and the product P of all their leads (None when each is one)."""
-        back = self._backs.get(k)
-        if back is None:
-            echelon = self._echelon
-            multipliers, leads = [], None
-            for j, x in reversed(echelon[k][3]):
-                multipliers.append((j, x if leads is None else x * leads))
-                lead = echelon[j][2]
-                if lead is not None:
-                    leads = lead if leads is None else leads * lead
-            back = self._backs[k] = (multipliers, leads)
-        return back
+        # [K_P | rhs_P] to unit upper triangular form (the diagonal is read,
+        # not rewritten), then back-substitution in the last column.
+        rows = [[col[p] for col in self._kept] + [rhs[p]] for p, _, _ in self._echelon]
+        for j, top in enumerate(rows):
+            if top[j] != self.field.one():
+                inv = top[j].inv()
+                top[j + 1:] = [b * inv if b else b for b in top[j + 1:]]
+            for row in rows[j + 1:]:
+                x = row[j]
+                if x:
+                    row[j + 1:] = [a - x * b if b else a for a, b in zip(row[j + 1:], top[j + 1:])]
+        for j in reversed(range(len(rows))):
+            x = rows[j][-1]
+            if x:
+                for row in rows[:j]:
+                    if row[j]:
+                        row[-1] = row[-1] - row[j] * x
+        return [row[-1] for row in rows]

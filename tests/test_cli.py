@@ -260,6 +260,53 @@ def test_cli_rejects_negative_bounds(tmp_path, capsys):
         _assert_clean_input_error(main(argv), capsys)
 
 
+def test_cli_usage_errors_exit_1(tmp_path, capsys):
+    # Exit code 2 is kept for internal-consistency failures, so a usage
+    # error is an input error; nothing is printed on stdout.
+    cpath = _write(tmp_path, "curve.json", io.curve_to_json(cusp_curve()))
+    for argv, message in (
+        ([], "the following arguments are required: command"),
+        (["--bogus"], "the following arguments are required: command"),
+        (["catalog", "list", "--bogus"], "unrecognized arguments: --bogus"),
+        (["selftest", "--samples", "abc"], "argument --samples: invalid int value: 'abc'"),
+        (["curve", "--in", cpath, "semigroups", "--max-degree", "x"],
+         "argument --max-degree: invalid int value: 'x'"),
+        (["curve", "--in", cpath, "nope"], "argument action: invalid choice: 'nope'"),
+        (["catalog", "list", "--format", "yaml"], "argument --format: invalid choice: 'yaml'"),
+        (["module", "--curve", cpath, "check"], "the following arguments are required: --module"),
+    ):
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error: qhc") and message in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_options_are_only_those_a_subcommand_reads(tmp_path, capsys):
+    cpath = _write(tmp_path, "curve.json", io.curve_to_json(cusp_curve()))
+    for argv in (
+        ["catalog", "list", "--max-degree", "5"],
+        ["catalog", "list", "--samples", "5"],
+        ["catalog", "list", "--seed", "5"],
+        ["curve", "--in", cpath, "info", "--samples", "5"],
+        ["curve", "--in", cpath, "info", "--seed", "5"],
+        ["selftest", "--format", "text"],
+        ["selftest", "--max-degree", "5"],
+    ):
+        assert main(argv) == 1, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["curve", "--in", cpath, "semigroups", "--max-degree", "5", "--format", "text"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_help_exits_0(capsys):
+    for argv in (["--help"], ["module", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qhc")
+
+
 def test_cli_rejects_a_min_poly_with_a_repeated_root(tmp_path, capsys):
     # D_4 lives over Q(i); (a + 1)^2 keeps the coordinate count but is not
     # square-free, so the spec fails before any branch is read.

@@ -315,8 +315,9 @@ def test_connect_and_verify_field_product_ceiling(monkeypatch):
     # natural_connection + verify_properties(samples=5, seed=0) on every D_4
     # (over Q(i)) and E_6 (over Q(zeta8)) fixture, curves built inside the
     # count: 3503 products when each call converted its weights and the
-    # commutator took three scalings, 3322 with one.  A count, not a time, so
-    # it does not depend on the machine.
+    # commutator took three scalings, 3322 with one, 3290 since a witness
+    # is solved on the pivot rows.  A count, not a time, so it does not
+    # depend on the machine.
     products = []
     real_mul = FieldElement.__mul__
 
@@ -332,4 +333,4 @@ def test_connect_and_verify_field_product_ceiling(monkeypatch):
             report = natural_connection(curve, fx.module(curve))
             assert report.succeeded
             verify_properties(curve, report, samples=5, seed=0)
-    assert len(products) <= 3322
+    assert len(products) <= 3290

@@ -10,6 +10,7 @@ from qhc.errors import InputError
 from qhc.field import QQ, NumberField
 
 Q_I = NumberField((1, 0, 1))  # Q[a]/(a^2 + 1)
+Q_ZETA8 = NumberField((1, 0, 0, 0, 1))  # Q[a]/(a^4 + 1)
 
 
 def _m(rows):
@@ -129,7 +130,7 @@ def test_elimination_matches_the_reference_loops():
             assert linalg.solve(matrix, rhs, QQ) == reference_solve(matrix, rhs, QQ)[0]
 
 
-@pytest.mark.parametrize("field", [QQ, Q_I], ids=["Q", "Qi"])
+@pytest.mark.parametrize("field", [QQ, Q_I, Q_ZETA8], ids=["Q", "Qi", "Qzeta8"])
 def test_in_span_agrees_with_solve(field):
     rng = random.Random(31)
     entries = [0, 0, 0, 1, -1, 2, -3]
@@ -149,7 +150,8 @@ def test_in_span_agrees_with_solve(field):
         cols = [[draw() for _ in range(nrows)] for _ in range(ncols)]
         if ncols > 1 and rng.random() < 0.5:
             # A repeated combination of two columns lowers the rank.
-            cols.append([a * draw() + b for a, b in zip(cols[0], cols[1])])
+            c = draw()
+            cols.append([c * a + b for a, b in zip(cols[0], cols[1])])
         elimination = linalg.Elimination(nrows, field)
         kept = []
         # Solve before the first add and after every add, so
@@ -171,3 +173,20 @@ def test_in_span_agrees_with_solve(field):
                 assert combination(coeffs, [cols[k] for k in kept], nrows) == rhs
         ranks.add((elimination.rank < nrows, elimination.rank < len(cols)))
     assert ranks == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_solve_when_the_pivot_rows_are_out_of_order():
+    # The echelon's pivot rows are 0, 2, 1, and two of its leads are not
+    # one, so the square system on the pivot rows is read in echelon order,
+    # not in row order.
+    cols = [_v([2, 2, 2, 0]), _v([1, 1, 0, 0]), _v([0, 3, 0, 0])]
+    elimination = linalg.Elimination(4, QQ)
+    assert all(elimination.add(c) for c in cols)
+    assert [p for p, _, _ in elimination._echelon] == [0, 2, 1]
+    coeffs = _v([Fraction(1, 2), -3, 5])
+    rhs = [sum((c * col[r] for c, col in zip(coeffs, cols)), QQ.zero()) for r in range(4)]
+    assert rhs == _v([-2, 13, 1, 0])
+    assert elimination.solve(rhs) == coeffs
+    assert elimination.solve(_v([0, 0, 0, 1])) is None
+    matrix = [[col[r] for col in cols] for r in range(4)]
+    assert linalg.solve(matrix, rhs, QQ) == coeffs
