@@ -1,9 +1,12 @@
 """Preset catalog: ADE simple singularities and the y(x^n - y^m) family.
 
-Each entry carries the minimal hand-picked cyclotomic extension needed to
-split f into branches; entries are fully validated at load.  Fixture
-modules (rank-one families and normalization/maximal-ideal modules) are
-emitted as ModuleSpec-style data.
+The ADE entries are the rows of one table, _ADE.  Each row names the
+minimal hand-picked cyclotomic extension needed to split f into branches,
+and gives each binomial branch's a and b as signed powers of that field's
+generator; the Y family is built by the same function.  Entries are fully
+validated at load, a*b^w_x = -1 included.  Fixture modules (rank-one
+families and normalization/maximal-ideal modules) are emitted as
+ModuleSpec-style data.
 """
 
 from __future__ import annotations
@@ -45,131 +48,45 @@ class CatalogEntry:
         return self._curve
 
 
-def _mono(field, c, xe, ye):
-    return BiPoly.monomial(field, field.from_rational(c), xe, ye)
+_AXIS_X, _AXIS_Y = BranchKind.AXIS_X, BranchKind.AXIS_Y
+
+# One row per ADE label, in catalog order: the field, the weights (w_x, w_y),
+# f as {(i, j): c} for its terms c*x^i*y^j, the axis branches, each binomial
+# branch's (a, b) and the description.  a and b are signed powers (s, k) of
+# the field's generator g, standing for s*g^k; over Q only g^0 = 1 is used.
+_ADE = {
+    "A_1": (Q_I, (1, 1), {(2, 0): 1, (0, 2): 1}, (), (((1, 1), (1, 1)), ((-1, 1), (-1, 1))), "f = x^2 + y^2"),
+    "A_2": (QQ, (3, 2), {(2, 0): 1, (0, 3): 1}, (), (((1, 0), (-1, 0)),), "f = x^2 + y^3"),
+    "A_3": (Q_ZETA8, (2, 1), {(2, 0): 1, (0, 4): 1}, (), (((1, 2), (1, 1)), ((-1, 2), (1, 3))), "f = x^2 + y^4"),
+    "A_4": (QQ, (5, 2), {(2, 0): 1, (0, 5): 1}, (), (((1, 0), (-1, 0)),), "f = x^2 + y^5"),
+    "A_5": (Q_ZETA12, (3, 1), {(2, 0): 1, (0, 6): 1}, (), (((1, 3), (1, 1)), ((-1, 3), (-1, 1))), "f = x^2 + y^6"),
+    "A_6": (QQ, (7, 2), {(2, 0): 1, (0, 7): 1}, (), (((1, 0), (-1, 0)),), "f = x^2 + y^7"),
+    "D_4": (Q_I, (1, 1), {(2, 1): 1, (0, 3): 1}, (_AXIS_Y,), (((1, 1), (1, 1)), ((-1, 1), (-1, 1))), "f = x^2*y + y^3"),
+    "D_5": (QQ, (3, 2), {(2, 1): 1, (0, 4): 1}, (_AXIS_Y,), (((1, 0), (-1, 0)),), "f = x^2*y + y^4"),
+    "D_6": (Q_ZETA8, (2, 1), {(2, 1): 1, (0, 5): 1}, (_AXIS_Y,), (((1, 2), (1, 1)), ((-1, 2), (1, 3))), "f = x^2*y + y^5"),
+    "E_6": (Q_ZETA8, (4, 3), {(3, 0): 1, (0, 4): 1}, (), (((1, 0), (1, 1)),), "(1)*y^4 + (1)*x^3"),
+    "E_7": (QQ, (3, 2), {(3, 0): 1, (1, 3): 1}, (_AXIS_X,), (((1, 0), (-1, 0)),), "(1)*x*y^3 + (1)*x^3"),
+    "E_8": (QQ, (5, 3), {(3, 0): 1, (0, 5): 1}, (), (((1, 0), (-1, 0)),), "(1)*y^5 + (1)*x^3"),
+}
+
+ADE_LABELS = list(_ADE)
+
+# What an A, D or E label with an index outside _ADE is told.
+_SERIES = {
+    "A": "A-series catalog covers A_1..A_6",
+    "D": "D-series catalog covers D_4..D_6",
+    "E": "E-series catalog covers E_6, E_7, E_8",
+}
 
 
-def _gen_pow(field, k):
-    return field.generator() ** k
-
-
-def _entry_A(n: int) -> CatalogEntry:
-    if n % 2 == 0:
-        fld = QQ
-        weights = (n + 1, 2)
-        f = _mono(fld, 1, 2, 0) + _mono(fld, 1, 0, n + 1)
-        branches = (
-            (BranchKind.BINOMIAL, fld.one(), fld.from_rational(-1)),
-        )
-    else:
-        k = (n + 1) // 2
-        if n == 1:
-            fld = Q_I
-            a1, b1 = _gen_pow(fld, 1), _gen_pow(fld, 1)
-            a2, b2 = -_gen_pow(fld, 1), -_gen_pow(fld, 1)
-        elif n == 3:
-            fld = Q_ZETA8
-            a1, b1 = _gen_pow(fld, 2), _gen_pow(fld, 1)
-            a2, b2 = -_gen_pow(fld, 2), _gen_pow(fld, 3)
-        elif n == 5:
-            fld = Q_ZETA12
-            a1, b1 = _gen_pow(fld, 3), _gen_pow(fld, 1)
-            a2, b2 = -_gen_pow(fld, 3), -_gen_pow(fld, 1)
-        else:
-            raise InputError("A_%d needs an extension outside the catalog" % n)
-        weights = (k, 1)
-        f = _mono(fld, 1, 2, 0) + _mono(fld, 1, 0, n + 1)
-        branches = (
-            (BranchKind.BINOMIAL, a1, b1),
-            (BranchKind.BINOMIAL, a2, b2),
-        )
-    return CatalogEntry(
-        "A_%d" % n, f.field, weights, f, branches, "f = x^2 + y^%d" % (n + 1)
+def _entry(label, fld, weights, f, axes, binomials, description) -> CatalogEntry:
+    g = fld.generator()
+    powers = {k: g ** k for k in {k for pair in binomials for _, k in pair}}
+    branches = tuple((kind, None, None) for kind in axes) + tuple(
+        (BranchKind.BINOMIAL,) + tuple(powers[k].scale(s) for s, k in pair) for pair in binomials
     )
-
-
-def _entry_D(n: int) -> CatalogEntry:
-    if n == 4:
-        fld = Q_I
-        weights = (1, 1)
-        f = _mono(fld, 1, 2, 1) + _mono(fld, 1, 0, 3)
-        i = _gen_pow(fld, 1)
-        branches = (
-            (BranchKind.AXIS_Y, None, None),
-            (BranchKind.BINOMIAL, i, i),
-            (BranchKind.BINOMIAL, -i, -i),
-        )
-    elif n == 5:
-        fld = QQ
-        weights = (3, 2)
-        f = _mono(fld, 1, 2, 1) + _mono(fld, 1, 0, 4)
-        branches = (
-            (BranchKind.AXIS_Y, None, None),
-            (BranchKind.BINOMIAL, fld.one(), fld.from_rational(-1)),
-        )
-    elif n == 6:
-        fld = Q_ZETA8
-        weights = (2, 1)
-        f = _mono(fld, 1, 2, 1) + _mono(fld, 1, 0, 5)
-        branches = (
-            (BranchKind.AXIS_Y, None, None),
-            (BranchKind.BINOMIAL, _gen_pow(fld, 2), _gen_pow(fld, 1)),
-            (BranchKind.BINOMIAL, -_gen_pow(fld, 2), _gen_pow(fld, 3)),
-        )
-    else:
-        raise InputError("D_%d is outside the catalog range (D_4..D_6)" % n)
-    return CatalogEntry(
-        "D_%d" % n, fld, weights, f, branches, "f = x^2*y + y^%d" % (n - 1)
-    )
-
-
-def _entry_E(n: int) -> CatalogEntry:
-    if n == 6:
-        fld = Q_ZETA8
-        weights = (4, 3)
-        f = _mono(fld, 1, 3, 0) + _mono(fld, 1, 0, 4)
-        branches = ((BranchKind.BINOMIAL, fld.one(), _gen_pow(fld, 1)),)
-    elif n == 7:
-        fld = QQ
-        weights = (3, 2)
-        f = _mono(fld, 1, 3, 0) + _mono(fld, 1, 1, 3)
-        branches = (
-            (BranchKind.AXIS_X, None, None),
-            (BranchKind.BINOMIAL, fld.one(), fld.from_rational(-1)),
-        )
-    elif n == 8:
-        fld = QQ
-        weights = (5, 3)
-        f = _mono(fld, 1, 3, 0) + _mono(fld, 1, 0, 5)
-        branches = ((BranchKind.BINOMIAL, fld.one(), fld.from_rational(-1)),)
-    else:
-        raise InputError("E_%d is not a simple singularity label" % n)
-    return CatalogEntry("E_%d" % n, fld, weights, f, branches, str(f))
-
-
-def _entry_Y(m: int, n: int) -> CatalogEntry:
-    if m <= 0 or n <= 0 or m > 10 or n > 10:
-        raise InputError("YFamily supports 1 <= m, n <= 10")
-    if math.gcd(m, n) != 1:
-        raise InputError("YFamily needs coprime (m, n)")
-    fld = QQ
-    weights = (m, n)
-    # y * (x^n - y^m)
-    f = _mono(fld, 1, n, 1) + _mono(fld, -1, 0, m + 1)
-    branches = (
-        (BranchKind.AXIS_Y, None, None),
-        (BranchKind.BINOMIAL, fld.from_rational(-1), fld.one()),
-    )
-    return CatalogEntry(
-        "Y_%d_%d" % (m, n), fld, weights, f, branches, "f = y*(x^%d - y^%d)" % (n, m)
-    )
-
-
-ADE_LABELS = (
-    ["A_%d" % n for n in range(1, 7)]
-    + ["D_%d" % n for n in range(4, 7)]
-    + ["E_6", "E_7", "E_8"]
-)
+    f = BiPoly.make(fld, {e: fld.from_rational(c) for e, c in f.items()})
+    return CatalogEntry(label, fld, weights, f, branches, description)
 
 
 def catalog_labels() -> List[str]:
@@ -190,22 +107,23 @@ def catalog_get(label: str, index: Optional[Union[int, Tuple[int, int]]] = None)
         if len(parts) != arity + 1 or not all(p.isdigit() for p in parts[1:]):
             raise InputError("malformed catalog label %r" % "_".join(parts))
         index = tuple(int(p) for p in parts[1:]) if arity == 2 else int(parts[1])
-    if label == "A":
-        if not isinstance(index, int) or not 1 <= index <= 6:
-            raise InputError("A-series catalog covers A_1..A_6")
-        entry = _entry_A(index)
-    elif label == "D":
-        if not isinstance(index, int) or not 4 <= index <= 6:
-            raise InputError("D-series catalog covers D_4..D_6")
-        entry = _entry_D(index)
-    elif label == "E":
-        if not isinstance(index, int) or index not in (6, 7, 8):
-            raise InputError("E-series catalog covers E_6, E_7, E_8")
-        entry = _entry_E(index)
-    elif label == "Y":
+    if label == "Y":
         if not (isinstance(index, tuple) and len(index) == 2):
             raise InputError("YFamily needs index (m, n)")
-        entry = _entry_Y(index[0], index[1])
+        m, n = index
+        if m <= 0 or n <= 0 or m > 10 or n > 10:
+            raise InputError("YFamily supports 1 <= m, n <= 10")
+        if math.gcd(m, n) != 1:
+            raise InputError("YFamily needs coprime (m, n)")
+        entry = _entry(
+            "Y_%d_%d" % (m, n), QQ, (m, n), {(n, 1): 1, (0, m + 1): -1}, (_AXIS_Y,),
+            (((-1, 0), (1, 0)),), "f = y*(x^%d - y^%d)" % (n, m),
+        )
+    elif label in _SERIES:
+        key = "%s_%d" % (label, index) if isinstance(index, int) else None
+        if key not in _ADE:
+            raise InputError(_SERIES[label])
+        entry = _entry(key, *_ADE[key])
     else:
         raise InputError("unknown catalog label %r" % label)
     entry.curve()  # validation: expansion, homogeneity, b-equation (kept on the entry)

@@ -186,16 +186,6 @@ class BiPoly:
     def scale(self, c: FieldElement) -> "BiPoly":
         return BiPoly.make(self.field, {e: c * v for e, v in self.terms})
 
-    def __pow__(self, n: int) -> "BiPoly":
-        result = BiPoly.monomial(self.field, self.field.one(), 0, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def dx(self) -> "BiPoly":
         return BiPoly.make(
             self.field,

@@ -224,6 +224,55 @@ def test_cli_rejects_one_weight(tmp_path, capsys):
     _assert_clean_input_error(main(["curve", "--in", path, "info"]), capsys)
 
 
+def _term(c, x, y):
+    return {"coeff": ["%s/1" % c], "x": x, "y": y}
+
+
+_CUSP = [_term(1, 2, 0), _term(2, 0, 3)]  # x^2 + 2y^3
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"f": []}, "f must be nonzero"),
+        ({"weights": [2, 4], "f": _CUSP}, "weights must be positive and coprime"),
+        ({"weights": [1, 1], "f": [_term(1, 0, 0)]}, "f must have positive weight"),
+        # The unit 2 is read off the lead term, then the scaled product misses.
+        ({"f": _CUSP, "branches": [{"kind": "binomial", "a": ["1/1"], "b": ["-1/1"]}]},
+         "branch product does not match f"),
+        # Two term pairs of x^4 + x^2*y^3 + y^5 ask for different weights.
+        ({"f": [_term(1, 4, 0), _term(1, 2, 3), _term(1, 0, 5)]}, "not quasi-homogeneous"),
+    ],
+    ids=["f-empty", "weights-not-coprime", "f-constant", "branch-product", "third-term"],
+)
+def test_cli_curve_spec_errors(tmp_path, capsys, spec, message):
+    path = _write(tmp_path, "curve.json", spec)
+    assert main(["curve", "--in", path, "info"]) == 1
+    assert capsys.readouterr().err == "input error: %s\n" % message
+
+
+@pytest.mark.parametrize("branch", [0, 3])
+def test_cli_rejects_a_cover_row_outside_the_branches(tmp_path, capsys, branch):
+    _, cpath = _y_curve_file(tmp_path)  # two branches
+    module = {"cover": [{"branch": branch, "shifts": [0]}], "generators": []}
+    argv = ["module", "--curve", cpath, "--module", _write(tmp_path, "module.json", module), "check"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "input error: cover branch index %d out of range\n" % branch
+
+
+def test_cli_infers_weights_from_three_terms_and_factors_two_binomials(tmp_path, capsys):
+    # x^4 + 9x^2*y^3 + 8y^6 = (x^2 + y^3)(x^2 + 8y^3)
+    path = _write(tmp_path, "curve.json", {"f": [_term(1, 4, 0), _term(9, 2, 3), _term(8, 0, 6)]})
+    assert main(["curve", "--in", path, "info"]) == 0
+    assert json.loads(capsys.readouterr().out)["weights"] == [3, 2]
+    assert main(["curve", "--in", path, "branches"]) == 0
+    branches = json.loads(capsys.readouterr().out)["branches"]
+    assert [(br["kind"], br["a"], br["b"]) for br in branches] == [
+        ("binomial", ["1/1"], ["-1/1"]),
+        ("binomial", ["8/1"], ["-1/2"]),
+    ]
+
+
 def test_cli_rejects_a_truncated_y_label(capsys):
     _assert_clean_input_error(main(["catalog", "--label", "Y_3", "info"]), capsys)
 
@@ -231,6 +280,28 @@ def test_cli_rejects_a_truncated_y_label(capsys):
 def test_cli_rejects_a_non_integer_index(capsys):
     code = main(["catalog", "--label", "D", "--index", "abc", "info"])
     _assert_clean_input_error(code, capsys)
+
+
+@pytest.mark.parametrize(
+    "label, index, message",
+    [
+        ("A", "9", "A-series catalog covers A_1..A_6"),
+        ("D", "7", "D-series catalog covers D_4..D_6"),
+        ("E", "5", "E-series catalog covers E_6, E_7, E_8"),
+        ("Z", "1", "unknown catalog label 'Z'"),
+        ("Y", None, "YFamily needs index (m, n)"),
+        ("Y_3", None, "malformed catalog label 'Y_3'"),
+        ("Y", "4,2", "YFamily needs coprime (m, n)"),
+        ("Y", "11,2", "YFamily supports 1 <= m, n <= 10"),
+        ("A_0", None, "A-series catalog covers A_1..A_6"),
+        ("D", "1,2", "D-series catalog covers D_4..D_6"),
+    ],
+)
+def test_cli_catalog_label_errors(capsys, label, index, message):
+    argv = ["catalog", "--label", label] + (["--index", index] if index else []) + ["info"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "input error: %s\n" % message)
 
 
 @pytest.mark.parametrize("branch, index", [(3, 1), (1, 2), (0, 1), (2, 0)])

@@ -1,7 +1,9 @@
 """Golden digests of CLI reports on the catalog curves and fixtures.
 
 golden_cli.json keeps, per run, the exit code and the sha256 of stdout
-of `qhc curve … branches|derivations` on each curve below and of
+of `qhc catalog list`, of `qhc catalog --label L info` (json and text)
+and `… fixtures` (json) on each label below, of
+`qhc curve … branches|derivations` on each curve below and of
 `qhc module … check` and `… connect --samples 3` (json) on each of its
 fixture modules.  Any change to those bytes fails the test, so a
 refactor that is meant to keep the output can be checked against it.
@@ -41,8 +43,12 @@ def _write(path, payload):
 
 def digests(work_dir):
     """{run name: [exit code, sha256 of stdout]} over LABELS."""
-    out = {}
+    out = {"catalog/list": _run(["catalog", "list"])}
     for label in LABELS:
+        catalog = ["catalog", "--label", label]
+        for fmt in ("json", "text"):
+            out["%s/info/%s" % (label, fmt)] = _run(catalog + ["info", "--format", fmt])
+        out["%s/fixtures" % label] = _run(catalog + ["fixtures"])
         entry = catalog_get(label)
         curve = entry.curve()
         cpath = _write(os.path.join(work_dir, label + ".json"), io.curve_to_json(curve))
