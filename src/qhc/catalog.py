@@ -96,11 +96,13 @@ def catalog_labels() -> List[str]:
 def catalog_get(label: str, index: Optional[Union[int, Tuple[int, int]]] = None) -> CatalogEntry:
     """Fetch and validate a catalog entry.
 
-    label is "A".."E" with an index, a full label like "D_5", or "Y" with
-    index (m, n) for the y(x^n - y^m) family.
+    label is "A".."E" with an index, a full label like "D_5" without one,
+    or "Y" with index (m, n) for the y(x^n - y^m) family.
     """
     label = label.strip()
-    if "_" in label and index is None:
+    if "_" in label:
+        if index is not None:
+            raise InputError("full catalog label %r cannot be combined with --index" % label)
         parts = label.split("_")
         label = parts[0]
         arity = 2 if label == "Y" else 1

@@ -365,6 +365,12 @@ class QuasiCurve:
     def r(self) -> int:
         return len(self.branches)
 
+    @property
+    def lead_exponent(self) -> Tuple[int, int]:
+        """(n, k) of the term x^n y^k of f with the largest x-exponent; it is
+        unique, since terms of one weight with one x-exponent coincide."""
+        return self.f.terms[-1][0]
+
     def normalization_image(self, h: BiPoly) -> tuple:
         """n(h) for a homogeneous h, whose monomials share one exponent per
         branch: their terms add.  A zero h maps to None on every branch; a

@@ -30,7 +30,7 @@ from . import linalg
 from .curve import QuasiCurve
 from .errors import ConsistencyError, InputError
 from .field import FieldElement
-from .poly import monomials_of_weight
+from .poly import standard_monomials
 from .semigroup import gamma_formula
 
 
@@ -237,15 +237,26 @@ class GradedSubmodule:
     def _piece(self, w: int) -> Tuple[dict, list, linalg.Elimination]:
         """The degree-w piece, eliminated once and kept for the module's life:
         the greedy basis of the span columns m_l.act(n(x^a y^b)), tagged
-        (l, (a, b), element)."""
+        (l, (a, b), element).
+
+        Only the standard monomials of (f) are fed: with x^n y^k the term
+        of f of largest x-exponent (curve.lead_exponent), those with a < n
+        or b < k, in ascending a.  f acts as zero, so modulo f a column
+        with a >= n and b >= k is a combination of columns of the same
+        generator and weight with smaller x-exponent, which come earlier
+        and are already in the span: the greedy basis never picks it.  The
+        basis, its tags and every witness are those of the full family,
+        and each generator feeds at most n + k columns at any degree.
+        """
         piece = self._pieces.get(w)
         if piece is None:
             curve = self.curve
+            n, k = curve.lead_exponent
             index = {s: pos for pos, s in enumerate(self._degree_slots(w))}
             elimination = linalg.Elimination(len(index), curve.field)
             basis = []
             for l, (gen, wl) in enumerate(zip(self.generators, self.weights)):
-                for a, b in monomials_of_weight(curve.wx, curve.wy, w - wl):
+                for a, b in standard_monomials(curve.wx, curve.wy, w - wl, n, k):
                     elem = gen.act(curve.monomial_terms(a, b))
                     if elem.coeffs and elimination.add(self._coords(elem, index)):
                         basis.append((l, (a, b), elem))

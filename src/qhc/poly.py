@@ -274,3 +274,22 @@ def monomials_of_weight(wx: int, wy: int, w: int) -> list:
         if rest % wy == 0:
             out.append((a, rest // wy))
     return out
+
+
+def standard_monomials(wx: int, wy: int, w: int, n: int, k: int) -> list:
+    """The (a, b) of monomials_of_weight(wx, wy, w) with a < n or b < k, in
+    the same ascending x-exponent: the standard monomials of weight w
+    modulo a principal ideal whose generator's term of largest x-exponent
+    is x^n y^k.  At most n + k of them, listed without walking the rest."""
+    out = []
+    if w < 0:
+        return out
+    for a in range(min(n, w // wx + 1)):
+        rest = w - a * wx
+        if rest % wy == 0:
+            out.append((a, rest // wy))
+    for b in range(min(k, w // wy + 1) - 1, -1, -1):
+        rest = w - b * wy
+        if rest % wx == 0 and rest // wx >= n:
+            out.append((rest // wx, b))
+    return out

@@ -14,13 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from qhc import derivation, linalg
+from qhc import derivation, linalg, module
 from qhc.catalog import ADE_LABELS, catalog_get, fixture_modules
 from qhc.connection import default_degree_bound
 from qhc.curve import BranchKind
 from qhc.derivation import q_element
 from qhc.module import ModuleElement, basis_element, coordinate_ring
 from qhc.poly import BiPoly, UniPoly, monomials_of_weight
+from qhc.semigroup import gamma_oracle
 
 from conftest import poly_of
 from test_linalg import reference_independent_subset, reference_solve
@@ -201,14 +202,64 @@ def _reference_piece_basis(M, w):
     return basis
 
 
-@pytest.mark.parametrize("label", FIXTURE_LABELS)
-def test_piece_basis_matches_the_image_columns(label):
+def _basis_mismatches(label):
+    """(module, degree) pairs up to default_degree_bound + lambda where the
+    piece basis differs from the full family's, over every fixture module
+    of label, its canonical embedding, their branch projections and the
+    coordinate ring."""
     curve = catalog_get(label).curve()
     lam = curve.wf - curve.wx - curve.wy
-    modules = list(_fixture_modules(label)) + [("coordinate_ring", coordinate_ring(curve))]
-    for name, M in modules:
-        for w in range(M.min_shift(), default_degree_bound(curve, M) + lam + 1):
-            assert M._piece(w)[1] == _reference_piece_basis(M, w), (label, name, w)
+    modules = []
+    for name, M in _fixture_modules(label):
+        modules.append((name, M))
+        modules += [("%s/projection_%d" % (name, i), M.projection(i)) for i in range(curve.r)]
+    modules.append(("coordinate_ring", coordinate_ring(curve)))
+    return [
+        (name, w)
+        for name, M in modules
+        for w in range(M.min_shift(), default_degree_bound(curve, M) + lam + 1)
+        if M._piece(w)[1] != _reference_piece_basis(M, w)
+    ]
+
+
+@pytest.mark.parametrize("label", list(dict.fromkeys(FIXTURE_LABELS + Y_LABELS)))
+def test_piece_basis_matches_the_image_columns(label):
+    assert _basis_mismatches(label) == []
+
+
+@pytest.mark.parametrize("label", ["D_4", "Y_3_2"])
+def test_a_cut_at_the_x_exponent_alone_changes_the_basis(label, monkeypatch):
+    """The b < k half of the standard monomials is needed: dropping every
+    monomial with a >= n loses basis columns on a curve with k > 0."""
+    assert catalog_get(label).curve().lead_exponent == (2, 1)
+
+    def cut_at_n(wx, wy, w, n, k):
+        return [(a, b) for a, b in monomials_of_weight(wx, wy, w) if a < n]
+
+    monkeypatch.setattr(module, "standard_monomials", cut_at_n)
+    assert _basis_mismatches(label)
+
+
+def test_gamma_oracle_feeds_columns_linearly_in_the_bound(monkeypatch):
+    """Each degree piece of A gets at most n + k columns, so the columns fed
+    for Gamma_i on [0, bound] grow linearly in the bound, not quadratically."""
+    calls = []
+    real_add = linalg.Elimination.add
+
+    def counting_add(self, col):
+        calls.append(None)
+        return real_add(self, col)
+
+    monkeypatch.setattr(linalg.Elimination, "add", counting_add)
+    counts = {}
+    for bound in (500, 1000, 2000):
+        curve = catalog_get("Y_3_2").curve()
+        del calls[:]
+        for i in range(curve.r):
+            gamma_oracle(curve, i, bound)
+        counts[bound] = len(calls)
+    assert counts[1000] <= 2.1 * counts[500], counts
+    assert counts[2000] <= 4.2 * counts[500], counts
 
 
 def _candidates(M, w):

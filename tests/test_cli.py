@@ -295,6 +295,8 @@ def test_cli_rejects_a_non_integer_index(capsys):
         ("Y", "11,2", "YFamily supports 1 <= m, n <= 10"),
         ("A_0", None, "A-series catalog covers A_1..A_6"),
         ("D", "1,2", "D-series catalog covers D_4..D_6"),
+        ("A_1", "2", "full catalog label 'A_1' cannot be combined with --index"),
+        ("Y_3_2", "3,2", "full catalog label 'Y_3_2' cannot be combined with --index"),
     ],
 )
 def test_cli_catalog_label_errors(capsys, label, index, message):

@@ -74,6 +74,30 @@ def test_cli_reports_match_golden_digests(tmp_path):
     assert changed == []
 
 
+# Runs at the edge of io.DEGREE_BUDGET on Y_3_2, whose pieces the golden runs
+# above never reach: `curve … semigroups --max-degree 2000`, and `module …
+# connect --samples 1` on the first fixture module with the exponent of its
+# second generator raised to 1990 (generator degree 1990).
+EDGE_DIGESTS = {
+    "semigroups": [0, "06ddfca1588d764acee86fa2b1c695ee0dfbeac5b1f6a4c3f154ae8ace121ce9"],
+    "connect": [0, "331ebc0437e4f51d85d3faae2381042ab703f4c1ec378578ae4a50fd5bf72cf3"],
+}
+
+
+def test_cli_reports_at_the_degree_budget_edge(tmp_path):
+    entry = catalog_get("Y_3_2")
+    curve = entry.curve()
+    cpath = _write(str(tmp_path / "curve.json"), io.curve_to_json(curve))
+    spec = io.module_to_json(fixture_modules(entry)[0].module(curve))
+    spec["generators"][1][0]["exp"] = 1990
+    mpath = _write(str(tmp_path / "module.json"), spec)
+    got = {
+        "semigroups": _run(["curve", "--in", cpath, "semigroups", "--max-degree", "2000"]),
+        "connect": _run(["module", "--curve", cpath, "--module", mpath, "connect", "--samples", "1"]),
+    }
+    assert got == EDGE_DIGESTS
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work_dir:
         captured = digests(work_dir)

@@ -7,7 +7,7 @@ import pytest
 
 from qhc.errors import InputError, NotHomogeneousError
 from qhc.field import QQ
-from qhc.poly import BiPoly, UniPoly, monomials_of_weight
+from qhc.poly import BiPoly, UniPoly, monomials_of_weight, standard_monomials
 
 from conftest import rational_poly
 
@@ -160,3 +160,13 @@ def test_scale_keeps_terms_and_zero_gives_zero():
             assert scaled == UniPoly.make(field, {e: c * v for e, v in p.terms})
             assert all(v for _, v in scaled.terms)
             assert p.scale(field.zero()) == UniPoly.zero(field)
+
+
+@pytest.mark.parametrize("wx, wy", [(1, 1), (2, 1), (3, 2), (2, 3), (4, 3), (5, 3), (7, 5)])
+def test_standard_monomials_are_the_filtered_monomials_of_weight(wx, wy):
+    for w in range(-3, 201):
+        monos = monomials_of_weight(wx, wy, w)
+        for n in range(6):
+            for k in range(6):
+                expected = [(a, b) for a, b in monos if a < n or b < k]
+                assert standard_monomials(wx, wy, w, n, k) == expected, (w, n, k)
