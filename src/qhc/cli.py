@@ -321,8 +321,11 @@ def main(argv=None) -> int:
             raise InputError("--max-degree must be nonnegative")
         if max_degree is not None and max_degree > io.DEGREE_BUDGET:
             raise InputError("--max-degree %d is above the budget %d" % (max_degree, io.DEGREE_BUDGET))
-        if getattr(args, "samples", 0) < 0:
+        samples = getattr(args, "samples", 0)
+        if samples < 0:
             raise InputError("--samples must be nonnegative")
+        if samples > io.SAMPLES_BUDGET:
+            raise InputError("--samples %d is above the budget %d" % (samples, io.SAMPLES_BUDGET))
         return args.func(args)
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)

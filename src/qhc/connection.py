@@ -1,17 +1,18 @@
 """The natural graded integrable connection on a graded torsion-free module.
 
-nabla_E scales each homogeneous component by its weight; nabla_D is
-q * nabla_E with q from the Koszul/Euler comparison.  natural_connection
-decides which sufficient condition applies ((C1)+(C2), (C1)+(C3) after a
-shift, or a direct stability check) and verify_properties re-checks the
-Leibniz rule, gradedness and the commutator identity by exact sampling.
+nabla_E scales each coefficient by the degree of its key and nabla_D is
+q * nabla_E, with q from the Koszul/Euler comparison: each is one pass
+over the element's keys, with no split into homogeneous components.
+natural_connection decides which sufficient condition applies ((C1)+(C2),
+(C1)+(C3) after a shift, or a direct stability check) and
+verify_properties re-checks the Leibniz rule, gradedness and the
+commutator identity by exact sampling.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
 from .curve import QuasiCurve
@@ -24,52 +25,42 @@ from .module import (
     Witness,
     _of,
     element_degree,
-    homogeneous_components,
 )
 from .poly import BiPoly, monomials_of_weight
 from .semigroup import gamma_formula
 
 
-def _sum(field, terms: List[ModuleElement]) -> ModuleElement:
-    """The sum of the terms: the one term itself, or zero when there is none."""
-    return reduce(ModuleElement.__add__, terms) if terms else _of(field, {})
-
-
 def apply_nabla_E(curve: QuasiCurve, cover: FreeCover, v: ModuleElement) -> ModuleElement:
-    """Each homogeneous component of weight w is scaled by w."""
-    return _sum(curve.field, [
-        comp.scale(curve.field.from_rational(w))
-        for w, comp in homogeneous_components(curve, cover, v).items()
-    ])
-
-
-def _nabla_D_homogeneous(
-    curve: QuasiCurve, v: ModuleElement, w: int, q: tuple
-) -> ModuleElement:
-    """q * (w v) in one pass: the key (i, j, e) goes to (i, j, e + g_i)
-    with coefficient (w c_i) * c, where q_i = (c_i, g_i); w c_i is
-    computed once for each branch that v has a key on."""
-    wq = curve.field.from_rational(w)
-    if not wq:
-        return _of(curve.field, {})
-    factors = {}
+    """w * c on each key (i, j, e) of degree w = f_ij + e d_i; a key of
+    degree 0 is dropped."""
+    fld, branches, shifts = curve.field, curve.branches, cover.shifts
     out = {}
     for (i, j, e), c in v.coeffs.items():
-        f = factors.get(i)
-        if f is None:
-            f = factors[i] = wq * q[i][0]
-        out[(i, j, e + q[i][1])] = f * c
-    return _of(curve.field, out)
+        w = shifts[i][j] + e * branches[i].t_degree
+        if w:
+            out[(i, j, e)] = fld.from_rational(w) * c
+    return _of(fld, out)
 
 
 def apply_nabla_D(
     curve: QuasiCurve, cover: FreeCover, v: ModuleElement, q: tuple
 ) -> ModuleElement:
-    """nabla_D = q * nabla_E, extended additively over components."""
-    return _sum(curve.field, [
-        _nabla_D_homogeneous(curve, comp, w, q)
-        for w, comp in homogeneous_components(curve, cover, v).items()
-    ])
+    """nabla_D = q * nabla_E key by key: (i, j, e) of degree w goes to
+    (i, j, e + g_i) with coefficient (w c_i) * c, where q_i = (c_i, g_i),
+    and a key of degree 0 is dropped.  w c_i is computed once per branch
+    and degree met; the key map is injective, so nothing is summed."""
+    fld, branches, shifts = curve.field, curve.branches, cover.shifts
+    factors = {}
+    out = {}
+    for (i, j, e), c in v.coeffs.items():
+        w = shifts[i][j] + e * branches[i].t_degree
+        if not w:
+            continue
+        f = factors.get((i, w))
+        if f is None:
+            f = factors[(i, w)] = fld.from_rational(w) * q[i][0]
+        out[(i, j, e + q[i][1])] = f * c
+    return _of(fld, out)
 
 
 def check_stability(
@@ -158,11 +149,10 @@ def default_degree_bound(curve: QuasiCurve, M: GradedSubmodule) -> int:
 
 
 def _random_homogeneous_scalar(
-    rng: random.Random, curve: QuasiCurve, max_weight: int
+    rng: random.Random, curve: QuasiCurve, weights: List[int]
 ) -> BiPoly:
-    """A random nonzero homogeneous element of k[x,y] of bounded weight."""
-    weights = [w for w in range(0, max_weight + 1)
-               if monomials_of_weight(curve.wx, curve.wy, w)]
+    """A random nonzero homogeneous element of k[x,y] of one of the weights,
+    each of which has a monomial."""
     w = rng.choice(weights)
     monos = monomials_of_weight(curve.wx, curve.wy, w)
     terms = {}
@@ -226,8 +216,10 @@ def verify_properties(
     lam = curve.wf - curve.wx - curve.wy
     counts = {"leibniz": 0, "graded": 0, "integrable": 0}
 
+    max_weight = max(degree_bound // 2, curve.wx + curve.wy)
+    weights = [w for w in range(max_weight + 1) if monomials_of_weight(curve.wx, curve.wy, w)]
     for _ in range(samples):
-        a = _random_homogeneous_scalar(rng, curve, max(degree_bound // 2, curve.wx + curve.wy))
+        a = _random_homogeneous_scalar(rng, curve, weights)
         v = _random_module_element(rng, M, degree_bound)
         if v is None:
             continue

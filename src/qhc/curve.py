@@ -148,7 +148,9 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
     if len(work) > 2:
         qs = divisors(ints[-1])
         candidates = {Fraction(s * p, q) for p in divisors(ints[0]) for q in qs for s in (1, -1)}
-        for r in sorted(candidates, key=lambda q: (q.numerator, q.denominator)):
+        # Small |numerator| first: those candidates are the cheapest to
+        # evaluate, and the search stops once a linear remainder is left.
+        for r in sorted(candidates, key=lambda q: (abs(q.numerator), q.denominator, q.numerator)):
             mult = 0
             while len(work) > 1 and eval_at(work, r) == 0:
                 work = _deflate(work, r)

@@ -24,6 +24,9 @@ DEGREE_BUDGET = 2000
 # and field arithmetic grow faster than linearly in it.  The catalog's
 # largest is 4.
 MIN_POLY_DEGREE_BUDGET = 32
+# The largest --samples a connect or selftest may ask for: each sample
+# builds, acts on and compares module elements.
+SAMPLES_BUDGET = 10000
 
 
 def _integer(value: Any, name: str) -> int:

@@ -154,20 +154,6 @@ def element_degree(curve: QuasiCurve, cover: FreeCover, v: ModuleElement) -> Opt
     return w
 
 
-def homogeneous_components(
-    curve: QuasiCurve, cover: FreeCover, v: ModuleElement
-) -> Dict[int, ModuleElement]:
-    """Components of v by degree; a homogeneous v is its own component."""
-    branches, shifts = curve.branches, cover.shifts
-    degrees = [shifts[i][j] + e * branches[i].t_degree for i, j, e in v.coeffs]
-    if len(set(degrees)) <= 1:
-        return {w: v for w in degrees[:1]}
-    comps: Dict[int, Dict[Tuple[int, int, int], FieldElement]] = {}
-    for w, (key, c) in zip(degrees, v.coeffs.items()):
-        comps.setdefault(w, {})[key] = c
-    return {w: _of(v.field, d) for w, d in sorted(comps.items())}
-
-
 def basis_element(curve: QuasiCurve, i: int, j: int, exp: int = 0) -> ModuleElement:
     return ModuleElement(curve.field, {(i, j, exp): curve.field.one()})
 

@@ -473,6 +473,7 @@ def test_cli_rejects_degrees_above_the_budget(tmp_path, capsys):
     curve = entry.curve()
     cpath = _write(tmp_path, "curve.json", io.curve_to_json(curve))
     module = io.module_to_json(fixture_modules(entry)[0].module(curve))
+    mpath = _write(tmp_path, "module.json", module)
     high = json.loads(json.dumps(module))
     high["generators"][1][0]["exp"] = 100000
     low = {"cover": [{"branch": 1, "shifts": [-20000]}, {"branch": 2, "shifts": [0]}],
@@ -491,6 +492,11 @@ def test_cli_rejects_degrees_above_the_budget(tmp_path, capsys):
          "--max-degree 2001 is above the budget 2000"),
         (["curve", "--in", _write(tmp_path, "negative.json", negative), "branches"],
          "negative exponent in k[x,y]"),
+        # Without the samples budget, connect --samples 1000000000 runs for days.
+        (connect + [mpath, "connect", "--samples", "10001"],
+         "--samples 10001 is above the budget 10000"),
+        (["selftest", "--samples", "1000000000"],
+         "--samples 1000000000 is above the budget 10000"),
     ]
     for argv, message in cases:
         start = time.perf_counter()
@@ -503,6 +509,8 @@ def test_cli_rejects_degrees_above_the_budget(tmp_path, capsys):
     assert io.curve_from_json(at_budget).wf == io.DEGREE_BUDGET
     high["generators"][1][0]["exp"] = io.DEGREE_BUDGET
     assert io.module_from_json(curve, high).weights == [0, io.DEGREE_BUDGET]
+    # check draws no sample, so it runs at the samples budget at once.
+    assert main(connect + [mpath, "check", "--samples", str(io.SAMPLES_BUDGET)]) == 0
 
 
 _TIMED_CLI = """

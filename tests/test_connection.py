@@ -24,7 +24,6 @@ from qhc.module import (
     GradedSubmodule,
     ModuleElement,
     element_degree,
-    homogeneous_components,
 )
 from qhc.poly import UniPoly
 
@@ -233,9 +232,6 @@ def test_nabla_operators_match_the_component_splitting_reference(label):
         for vec in firsts:
             total = total + vec
         for v in mixed + [total]:
-            assert homogeneous_components(curve, M.cover, v) == reference_components(
-                curve, M.cover, v
-            )
             assert apply_nabla_E(curve, M.cover, v) == reference_nabla_E(curve, M.cover, v)
             assert apply_nabla_D(curve, M.cover, v, q) == reference_nabla_D(curve, M.cover, v, q)
 
@@ -278,7 +274,7 @@ def test_verify_properties_catches_nabla_E_scaling_by_w_plus_one(monkeypatch, la
 
     def off_by_one(curve, cover, v):
         out = ModuleElement(curve.field, {})
-        for w, comp in homogeneous_components(curve, cover, v).items():
+        for w, comp in reference_components(curve, cover, v).items():
             out = out + comp.scale(curve.field.from_rational(w + 1))
         return out
 
@@ -316,8 +312,9 @@ def test_connect_and_verify_field_product_ceiling(monkeypatch):
     # (over Q(i)) and E_6 (over Q(zeta8)) fixture, curves built inside the
     # count: 3503 products when each call converted its weights and the
     # commutator took three scalings, 3322 with one, 3290 since a witness
-    # is solved on the pivot rows.  A count, not a time, so it does not
-    # depend on the machine.
+    # is solved on the pivot rows, 2996 since a piece is spanned by
+    # standard monomials only.  A count, not a time, so it does not depend
+    # on the machine.
     products = []
     real_mul = FieldElement.__mul__
 
@@ -333,4 +330,4 @@ def test_connect_and_verify_field_product_ceiling(monkeypatch):
             report = natural_connection(curve, fx.module(curve))
             assert report.succeeded
             verify_properties(curve, report, samples=5, seed=0)
-    assert len(products) <= 3290
+    assert len(products) <= 2996

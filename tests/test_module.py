@@ -19,7 +19,6 @@ from qhc.module import (
     coordinate_ring,
     element_degree,
     element_degrees,
-    homogeneous_components,
 )
 from qhc.poly import BiPoly, UniPoly
 
@@ -87,12 +86,10 @@ def test_element_degree_and_components():
     mixed = _elem({(0, 0): (1, 0), (1, 0): (1, 3)})
     with pytest.raises(InputError, match="not homogeneous"):
         element_degree(curve, cover, mixed)
-    comps = homogeneous_components(curve, cover, mixed)
-    assert sorted(comps) == [0, 3]
-    assert comps[0] + comps[3] == mixed
-    # a homogeneous element is its own single component; zero has none
-    assert homogeneous_components(curve, cover, v) == {3: v}
-    assert homogeneous_components(curve, cover, ModuleElement(QQ, {})) == {}
+    # the degrees of the components; zero has none
+    assert element_degrees(curve, cover, mixed) == {0, 3}
+    assert element_degrees(curve, cover, v) == {3}
+    assert element_degrees(curve, cover, ModuleElement(QQ, {})) == frozenset()
 
 
 def test_zero_generator_rejected():
@@ -578,17 +575,6 @@ def reference_degrees(curve, cover, v):
     )
 
 
-def reference_components(curve, cover, v):
-    comps = {}
-    for (i, j), p in v.entries.items():
-        for e, c in p.terms:
-            w = cover.shifts[i][j] + e * curve.branches[i].t_degree
-            slot = comps.setdefault(w, {})
-            mono = UniPoly.monomial(curve.field, c, e)
-            slot[(i, j)] = slot.get((i, j), UniPoly.zero(curve.field)) + mono
-    return {w: ReferenceElement(curve.field, d) for w, d in sorted(comps.items())}
-
-
 def _as_reference(v):
     return ReferenceElement(v.field, entries_of(v))
 
@@ -665,16 +651,9 @@ def test_flat_coordinates_match_the_unipoly_reference(label, rng):
                 assert a == a.scale(field.one())
                 for v, rv in ((a, ra), (mixed, rm)):
                     assert element_degrees(curve, cover, v) == reference_degrees(curve, cover, rv)
-                    comps = homogeneous_components(curve, cover, v)
-                    ref = reference_components(curve, cover, rv)
-                    assert list(comps) == list(ref)
-                    for w in comps:
-                        _assert_matches(comps[w], ref[w])
-                assert homogeneous_components(curve, cover, a) == {element_degree(curve, cover, a): a}
 
 
 def test_no_zero_coefficient_survives_cancellation():
-    curve = y_family_curve(3, 2)
     one = QQ.one()
     v = ModuleElement(QQ, {(0, 0, 0): one, (0, 0, 1): one, (1, 0, 2): one})
     assert not (v + (-v)).coeffs and not (v - v).coeffs
@@ -685,7 +664,6 @@ def test_no_zero_coefficient_survives_cancellation():
     assert v.act((None, (one, 1))).coeffs == {(1, 0, 3): one}
     # The constructor drops zero coefficients.
     assert ModuleElement(QQ, {(0, 0, 0): QQ.zero()}).coeffs == {}
-    assert not homogeneous_components(curve, FreeCover(((0,), (0,))), v + (-v))
 
 
 def test_constructor_copies_and_checks_its_coordinates():
