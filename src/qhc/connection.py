@@ -6,7 +6,9 @@ over the element's keys, with no split into homogeneous components.
 natural_connection decides which sufficient condition applies ((C1)+(C2),
 (C1)+(C3) after a shift, or a direct stability check) and
 verify_properties re-checks the Leibniz rule, gradedness and the
-commutator identity by exact sampling.
+commutator identity by exact sampling, on a basis of each degree piece
+that from the module's full_from on is the cover's unit vectors, with no
+elimination (GradedSubmodule.piece_basis).
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ def _random_module_element(
     lo = M.min_shift()
     for _ in range(20):
         w = rng.randint(lo, bound)
-        basis = M.graded_piece(w)
+        basis = M.piece_basis(w)
         if not basis:
             continue
         out = ModuleElement(M.curve.field, {})
@@ -195,7 +197,7 @@ def verify_properties(
     """Exact verification of the connection axioms on the report's module.
 
     Checks the Leibniz rule for E and D on random samples, and on every
-    graded-piece basis vector v of degree w up to degree_bound: nabla_E(v)
+    piece_basis vector v of degree w up to degree_bound: nabla_E(v)
     = w v, gradedness and membership of nd = nabla_D(v), and the commutator
     identity [nabla_E, nabla_D] = lam * nabla_D with lam = w_f - w_x - w_y.
     Since nabla_D(w v) = w nd, the identity on v is compared in the form
@@ -240,7 +242,7 @@ def verify_properties(
     for w in range(M.min_shift(), degree_bound + 1):
         w_k = curve.field.from_rational(w)
         wlam_k = curve.field.from_rational(w + lam)
-        for vec in M.graded_piece(w):
+        for vec in M.piece_basis(w):
             if apply_nabla_E(curve, M.cover, vec) != vec.scale(w_k):
                 raise ConsistencyError("nabla_E is not w*id in degree %d" % w)
             nd = apply_nabla_D(curve, M.cover, vec, q)

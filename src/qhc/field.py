@@ -315,14 +315,25 @@ class FieldElement:
             if n < 0:
                 return _new(self.field, (-self.den,), -n)
             return _new(self.field, (self.den,), n)
-        # Extended Euclid over Q[x]: s*a + t*p = gcd = constant.
+        # Extended Euclid over Q[x], keeping s_k*a = r_k modulo p.  Each
+        # remainder is made monic, with its cofactor divided by the same
+        # lead, which keeps the coefficients from growing exponentially in
+        # the degree; the last remainder is then 1 and s_k is the inverse.
         a = list(self.coords)
         while a and not a[-1]:
             a.pop()
         r0, r1 = list(self.field.min_poly), a
         s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
+        while True:
+            c = r1[-1]
+            if c != 1:
+                r1 = [rc / c for rc in r1]
+                s1 = [sc / c for sc in s1]
+            if len(r1) == 1:
+                return self.field._reduce(*_common_denominator(s1))
             q, r = _poly_divmod(r0, r1)
+            if not r:
+                raise InputError("element is a zero divisor; min_poly not irreducible")
             s = list(s0)
             for i, qc in enumerate(q):
                 if qc:
@@ -333,10 +344,6 @@ class FieldElement:
             while s and not s[-1]:
                 s.pop()
             r0, r1, s0, s1 = r1, r, s1, s
-        if not r1:
-            raise InputError("element is a zero divisor; min_poly not irreducible")
-        c = r1[0]
-        return self.field._reduce(*_common_denominator([sc / c for sc in s1]))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inv()

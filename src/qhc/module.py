@@ -10,6 +10,12 @@ of A (coordinate_ring), is answered from one kept elimination per degree
 piece: GradedSubmodule.is_member says yes or no (at once on a piece of
 full rank), and GradedSubmodule.contains also returns the witness, which
 only the stability check of the connection and image_membership ask for.
+A module built by canonical_embedding (or shifted from one) also knows
+the conductor bound: A-bar*M is the whole cover there, so the conductor
+of A times the cover lies in M, is_member answers yes at once on an
+element all of whose keys lie in it, and every piece from the degree
+full_from on is the whole cover piece (piece_basis).  No other module,
+coordinate_ring least of all, uses the bound.
 
 A ModuleElement is built, stored and read as a sparse vector over the
 cover coordinates (branch, slot, t-exponent), the same keys that index a
@@ -173,6 +179,10 @@ class GradedSubmodule:
     kept as long as the module, so the generators must not change after
     construction; shifted() and canonical_embedding() return new modules
     that start empty.
+
+    ``conductor`` (the exponent kappa_i of the conductor of A on each
+    branch) and ``full_from`` are set on a module that canonical_embedding
+    returns and kept by shifted(); on any other module both are None.
     """
 
     def __init__(
@@ -194,6 +204,8 @@ class GradedSubmodule:
             if w is None:
                 raise InputError("zero generator is not allowed")
             self.weights.append(w)
+        self.conductor: Optional[Tuple[int, ...]] = None
+        self.full_from: Optional[int] = None
 
     # -- coordinates of a fixed degree -------------------------------------
 
@@ -257,12 +269,26 @@ class GradedSubmodule:
         """A basis of M_w (subset of the canonical generating family)."""
         return [elem for _, _, elem in self._piece(w)[1]]
 
+    def piece_basis(self, w: int) -> List[ModuleElement]:
+        """A basis of M_w of graded_piece's size: from full_from on, where
+        M_w is the whole cover piece, its unit vectors, with no elimination;
+        below it (or with no bound), graded_piece(w)."""
+        if self.full_from is None or w < self.full_from:
+            return self.graded_piece(w)
+        one = self.curve.field.one()
+        return [_of(self.curve.field, {key: one}) for key in self._degree_slots(w)]
+
     def is_member(self, v: ModuleElement) -> bool:
         """Whether a homogeneous element lies in M: contains(v) is not None,
-        decided without solving for the witness."""
+        decided without solving for the witness, and at once when every key
+        (i, j, e) has e >= conductor[i]."""
         if not v:
             return True
-        index, _, elimination = self._piece(element_degree(self.curve, self.cover, v))
+        w = element_degree(self.curve, self.cover, v)
+        kappa = self.conductor
+        if kappa is not None and all(e >= kappa[i] for i, _, e in v.coeffs):
+            return True
+        index, _, elimination = self._piece(w)
         return elimination.in_span(self._coords(v, index))
 
     def contains(self, v: ModuleElement) -> Optional[Witness]:
@@ -300,6 +326,7 @@ class GradedSubmodule:
         arithmetic and a new cover shift is the degree of its pivot.
         Idempotent: the pivot columns form an echelon basis, so a second
         pass picks the same pivots, now the unit vectors of the new cover.
+        The result carries the conductor bound (_bound_by_conductor).
         """
         # parts[i][l]: the branch-i part of generator l as {slot: c}.
         parts = [[{} for _ in self.generators] for _ in self.cover.shifts]
@@ -346,7 +373,41 @@ class GradedSubmodule:
                     raise ConsistencyError("projection not reduced to zero")
             new_gens.append(_of(self.curve.field, coeffs))
         new_cover = FreeCover(tuple(tuple(pw for _, pw, _ in basis) for basis in bases))
-        return GradedSubmodule(self.curve, new_cover, new_gens)
+        return GradedSubmodule(self.curve, new_cover, new_gens)._bound_by_conductor()
+
+    def _bound_by_conductor(self) -> "GradedSubmodule":
+        """Set conductor and full_from on a module with A-bar*M = cover.
+
+        The conductor of A is the A-bar-ideal (+) t_i^kappa_i k[t_i] inside
+        A, kappa_i = gamma_formula(curve, i).conductor, so it times the
+        cover is it times A-bar*M, which lies in M: every key (i, j, e) with
+        e >= kappa_i is in M, and so is each whole cover piece of degree
+        w >= full_from = max_ij (f_ij + kappa_i d_i).  A-bar*M = cover means
+        that each branch projection generates its cover over k[t_i].  That
+        is checked without an elimination: each slot (i, j) must be the
+        last branch-i slot of some generator, at exponent 0, so that those
+        generators are a triangular basis change with constant diagonal.
+        """
+        heads = set()
+        for g in self.generators:
+            last = {}
+            for i, j, e in g.coeffs:
+                if i not in last or j > last[i][0]:
+                    last[i] = (j, e)
+            heads.update((i, j) for i, (j, e) in last.items() if e == 0)
+        if not heads.issuperset(self.cover.slots()):
+            raise ConsistencyError("a branch projection does not generate its cover")
+        curve = self.curve
+        self.conductor = tuple(gamma_formula(curve, i).conductor for i in range(curve.r))
+        self.full_from = max(
+            (
+                f_ij + self.conductor[i] * curve.branches[i].t_degree
+                for i, row in enumerate(self.cover.shifts)
+                for f_ij in row
+            ),
+            default=0,
+        )
+        return self
 
     # -- conditions ----------------------------------------------------------
 
@@ -397,10 +458,12 @@ class GradedSubmodule:
         return (False, None)
 
     def shifted(self, lam: int) -> "GradedSubmodule":
-        """M(lam): all shifts and weights translated by lam."""
-        return GradedSubmodule(
-            self.curve, self.cover.shifted(lam), self.generators
-        )
+        """M(lam): all shifts and weights translated by lam; the keys, and so
+        the conductor bound, stay, and full_from moves by lam."""
+        M = GradedSubmodule(self.curve, self.cover.shifted(lam), self.generators)
+        if self.conductor is not None:
+            M.conductor, M.full_from = self.conductor, self.full_from + lam
+        return M
 
     def min_shift(self) -> int:
         return min((s for row in self.cover.shifts for s in row), default=0)

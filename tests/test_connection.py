@@ -307,14 +307,30 @@ def test_verify_properties_catches_nabla_E_wrong_only_above_the_bound(monkeypatc
     assert w <= bound < w + lam
 
 
+def free_square_module(curve):
+    """A*(1, 1) + A*(1, -1) in two slots of shift 0 on every branch: after
+    the canonical embedding the second generator is e_i1 - 2 e_i2 on each
+    branch, so its multiples carry two keys of one degree on one branch."""
+    fld = curve.field
+    cover = FreeCover(((0, 0),) * curve.r)
+    gens = [
+        ModuleElement(fld, {(i, j, 0): fld.from_rational(c) for i in range(curve.r) for j, c in enumerate(cs)})
+        for cs in ((1, 1), (1, -1))
+    ]
+    return GradedSubmodule(curve, cover, gens)
+
+
 def test_connect_and_verify_field_product_ceiling(monkeypatch):
     # natural_connection + verify_properties(samples=5, seed=0) on every D_4
     # (over Q(i)) and E_6 (over Q(zeta8)) fixture, curves built inside the
     # count: 3503 products when each call converted its weights and the
     # commutator took three scalings, 3322 with one, 3290 since a witness
     # is solved on the pivot rows, 2996 since a piece is spanned by
-    # standard monomials only.  A count, not a time, so it does not depend
-    # on the machine.
+    # standard monomials only, 2257 since verification reads the cover's
+    # unit vectors from full_from on.  free_square_module adds 1028 (3285):
+    # its piece vectors repeat a degree on a branch, so a nabla_D that
+    # recomputed w*c_i for every key would make 26 more.  A count, not a
+    # time, so it does not depend on the machine.
     products = []
     real_mul = FieldElement.__mul__
 
@@ -326,8 +342,8 @@ def test_connect_and_verify_field_product_ceiling(monkeypatch):
     for label in ("D_4", "E_6"):
         entry = catalog_get(label)
         curve = entry.curve()
-        for fx in fixture_modules(entry):
-            report = natural_connection(curve, fx.module(curve))
+        for M in [fx.module(curve) for fx in fixture_modules(entry)] + [free_square_module(curve)]:
+            report = natural_connection(curve, M)
             assert report.succeeded
             verify_properties(curve, report, samples=5, seed=0)
-    assert len(products) <= 2996
+    assert len(products) <= 3285

@@ -437,3 +437,79 @@ def test_integer_memo_leaves_field_equality_and_hashing_unchanged():
     assert repr(again) == repr(NumberField((1, 0, 1)))
     assert again.from_rational(3) is not Q_I.from_rational(3)
     assert again.from_rational(3) == Q_I.from_rational(3)
+
+
+# -- inversion -----------------------------------------------------------------
+
+
+def eisenstein_field(rng, degree):
+    """A dense monic min_poly of the degree, irreducible by Eisenstein at 2:
+    every lower coefficient even and nonzero, the constant not divisible by 4."""
+    lower = [rng.choice((-6, -2, 2, 6))]
+    lower += [rng.choice((-8, -6, -4, -2, 2, 4, 6, 8)) for _ in range(degree - 1)]
+    return NumberField(tuple(lower) + (1,))
+
+
+def dense_element(rng, fld):
+    return fld.element([rng.choice((-9, -5, -3, -1, 1, 2, 4, 7)) for _ in range(fld.degree)])
+
+
+def reference_euclid_inv(x):
+    """The inverse by extended Euclid on (x, min_poly) with remainders left
+    as they come, dividing by the constant gcd only at the end."""
+    fld = x.field
+
+    def divmod_poly(num, den):
+        num, d = list(num), len(den) - 1
+        quot = [Fraction(0)] * max(len(num) - d, 0)
+        for k in range(len(num) - 1, d - 1, -1):
+            c = quot[k - d] = num[k] / den[d]
+            for j in range(d + 1):
+                num[k - d + j] -= c * den[j]
+        while num and not num[-1]:
+            num.pop()
+        return quot, num
+
+    r1 = list(x.coords)
+    while not r1[-1]:
+        r1.pop()
+    r0, s0, s1 = list(fld.min_poly), [Fraction(0)], [Fraction(1)]
+    while len(r1) > 1:
+        q, r = divmod_poly(r0, r1)
+        s = list(s0) + [Fraction(0)] * max(len(q) + len(s1) - 1 - len(s0), 0)
+        for i, qc in enumerate(q):
+            for j, sc in enumerate(s1):
+                s[i + j] -= qc * sc
+        while s and not s[-1]:
+            s.pop()
+        r0, r1, s0, s1 = r1, r, s1, s
+    assert r1, "zero divisor"
+    coords = [sc / r1[0] for sc in s1]
+    return FieldElement(fld, coords + [0] * (fld.degree - len(coords)))
+
+
+@pytest.mark.parametrize("degree, count", [(8, 40), (32, 4)])
+def test_inverse_of_dense_elements(degree, count):
+    rng = random.Random(degree)
+    fld = eisenstein_field(rng, degree)
+    one = fld.one()
+    for _ in range(count):
+        x = dense_element(rng, fld)
+        y = x.inv()
+        assert x * y == one
+        assert_canonical(y)
+
+
+def test_inverse_matches_the_unnormalised_euclid():
+    rng = random.Random(38)
+    fields = DIFFERENTIAL_FIELDS + [eisenstein_field(rng, 8), NumberField((-2,) + (0,) * 11 + (1,))]
+    for fld in fields:
+        elements = [fld.generator(), fld.from_rational(Fraction(-3, 7))]
+        elements += [dense_element(rng, fld) for _ in range(10)]
+        elements += [_random_element(rng, fld) for _ in range(10)]
+        for x in elements:
+            if x:
+                assert x.inv() == reference_euclid_inv(x), (fld, x)
+    fld = eisenstein_field(rng, 32)
+    x = dense_element(rng, fld)
+    assert x.inv() == reference_euclid_inv(x)

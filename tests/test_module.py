@@ -21,6 +21,7 @@ from qhc.module import (
     element_degrees,
 )
 from qhc.poly import BiPoly, UniPoly
+from qhc.semigroup import gamma_formula, gamma_oracle
 
 from conftest import cusp_curve, y_family_curve
 from test_linalg import reference_solve
@@ -704,3 +705,128 @@ def test_nabla_of_zero_and_of_degree_zero_is_zero(make_curve):
     t1 = basis_element(curve, 0, 0, 1)
     w1 = element_degree(curve, cover, t1)
     assert apply_nabla_E(curve, cover, degree_zero + t1) == t1.scale(field.from_rational(w1))
+
+
+# -- the conductor bound -------------------------------------------------------
+
+
+def _kappa(curve):
+    return tuple(gamma_formula(curve, i).conductor for i in range(curve.r))
+
+
+def _expected_full_from(M, kappa):
+    return max(
+        f_ij + kappa[i] * M.curve.branches[i].t_degree
+        for i, row in enumerate(M.cover.shifts)
+        for f_ij in row
+    )
+
+
+def _bounded_variants(M):
+    """The canonical embedding of M and two shifts of it."""
+    Mc = M.canonical_embedding()
+    return [("canonical", Mc), ("shifted(3)", Mc.shifted(3)), ("shifted(-2)", Mc.shifted(-2))]
+
+
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_pieces_from_full_from_on_are_full(label):
+    entry = catalog_get(label)
+    curve = entry.curve()
+    kappa = _kappa(curve)
+    span = 2 * max(curve.wx, curve.wy)
+    for fx in fixture_modules(entry):
+        for name, M in _bounded_variants(fx.module(curve)):
+            assert M.conductor == kappa, (label, fx.name, name)
+            assert M.full_from == _expected_full_from(M, kappa), (label, fx.name, name)
+            for w in range(M.full_from, M.full_from + span + 1):
+                slots = M._degree_slots(w)
+                assert len(M.graded_piece(w)) == len(slots) > 0, (label, fx.name, name, w)
+                assert M.piece_basis(w) == [basis_element(curve, *key) for key in slots]
+
+
+def _straddling_candidates(M, w, rng):
+    """Random combinations of the degree-w cover monomials (each may lie
+    below the conductor), a piece element, and their sums."""
+    field = M.curve.field
+    monomials = [basis_element(M.curve, *key) for key in M._degree_slots(w)]
+    out = []
+    for _ in range(3):
+        total = ModuleElement(field, {})
+        for t in rng.sample(monomials, rng.randint(0, len(monomials))):
+            total = total + t.scale(field.from_rational(rng.choice((-3, -1, 1, 2))))
+        out.append(total)
+    piece = ModuleElement(field, {})
+    for v in M.graded_piece(w):
+        piece = piece + v.scale(field.from_rational(rng.randint(-3, 3)))
+    return out + monomials + [piece] + [piece + t for t in out]
+
+
+@pytest.mark.parametrize("label", list(ADE_LABELS) + ["Y_3_2", "Y_5_3", "Y_5_4", "Y_7_4"])
+def test_conductor_shortcut_agrees_with_elimination(label):
+    # The same generators on the same cover with no bound answer by
+    # elimination alone; the candidates straddle full_from, and the (C2)
+    # targets t_i^(kappa_i - 1) e_ij sit just below the conductor.
+    entry = catalog_get(label)
+    curve = entry.curve()
+    rng = random.Random(label)
+    span = 2 * max(curve.wx, curve.wy)
+    tally = {"shortcut": 0, "yes": 0, "no": 0}
+    modules = [fx.module(curve) for fx in fixture_modules(entry)] + [coordinate_ring(curve)]
+    for M0 in modules:
+        for name, M in _bounded_variants(M0):
+            plain = GradedSubmodule(curve, M.cover, M.generators)
+            assert plain.conductor is None and plain.full_from is None
+            candidates = [
+                basis_element(curve, i, j, M.conductor[i] - 1) for i, j in M.cover.slots()
+            ]
+            for w in range(M.full_from - span, M.full_from + span + 1):
+                candidates += _straddling_candidates(M, w, rng)
+            for v in candidates:
+                expected = plain.is_member(v)
+                assert M.is_member(v) is expected, (label, name, str(v))
+                if v and all(e >= M.conductor[i] for i, _, e in v.coeffs):
+                    tally["shortcut"] += 1
+                tally["yes" if expected else "no"] += 1
+    assert min(tally.values()) > 0, tally
+
+
+def test_the_shortcut_still_rejects_a_mixed_element():
+    curve = y_family_curve(3, 2)
+    M = case1_module(curve, 1).canonical_embedding()
+    far = M.conductor[0] + 5
+    mixed = basis_element(curve, 0, 0, far) + basis_element(curve, 0, 0, far + 1)
+    with pytest.raises(InputError, match="not homogeneous"):
+        M.is_member(mixed)
+
+
+@pytest.mark.parametrize("label", list(ADE_LABELS) + ["Y_3_2", "Y_5_3", "Y_5_4"])
+def test_only_canonical_embeddings_carry_the_bound(label):
+    # coordinate_ring answers gamma_oracle, the check of gamma_formula; a
+    # bound read from gamma_formula there would make the oracle agree by
+    # construction.
+    entry = catalog_get(label)
+    curve = entry.curve()
+    ring = coordinate_ring(curve)
+    assert (ring.conductor, ring.full_from) == (None, None)
+    for fx in fixture_modules(entry):
+        M = fx.module(curve)
+        assert (M.conductor, M.full_from) == (None, None)
+        assert (M.shifted(1).conductor, M.shifted(1).full_from) == (None, None)
+        Mc = M.canonical_embedding()
+        for i in range(curve.r):
+            projection = Mc.projection(i)
+            assert (projection.conductor, projection.full_from) == (None, None)
+    for i in range(curve.r):
+        gamma = gamma_formula(curve, i)
+        bound = gamma.conductor + 10
+        assert gamma_oracle(curve, i, bound) == gamma.members_upto(bound)
+
+
+def test_the_bound_needs_projections_that_generate_the_cover():
+    curve = cusp_curve()
+    M = GradedSubmodule(curve, FreeCover(((0,),)), [_elem({(0, 0): (1, 2)})])
+    with pytest.raises(ConsistencyError, match="does not generate its cover"):
+        M._bound_by_conductor()
+    Mc = M.canonical_embedding()
+    assert Mc.cover == FreeCover(((2,),))
+    assert Mc.full_from == 2 + Mc.conductor[0] * curve.branches[0].t_degree
