@@ -9,11 +9,16 @@ Subcommands:
 Exit codes: 0 success (and --help), 1 input error (a usage error too),
 2 internal-consistency failure, 3 no natural connection found (the report
 is still emitted).
+
+The argument parser is built on the first main() call and kept for the
+process (build_parser is cached); each call parses into a fresh
+Namespace, and --help text is formatted when it is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Dict, List, Optional, Tuple
@@ -265,7 +270,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError("%s: %s" % (self.prog, message))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qhc parser, built once per process and shared by every main()
+    call, so a caller must not change it."""
     parser = _Parser(
         prog="qhc",
         description="Graded connections on modules over quasi-homogeneous plane curves",

@@ -7,8 +7,8 @@ natural_connection decides which sufficient condition applies ((C1)+(C2),
 (C1)+(C3) after a shift, or a direct stability check) and
 verify_properties re-checks the Leibniz rule, gradedness and the
 commutator identity by exact sampling, on a basis of each degree piece
-that from the module's full_from on is the cover's unit vectors, with no
-elimination (GradedSubmodule.piece_basis).
+that is the cover's unit vectors, with no elimination, wherever every key
+of the cover piece lies in the conductor (GradedSubmodule.piece_basis).
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ only the stability check of the connection and image_membership ask for.
 A module built by canonical_embedding (or shifted from one) also knows
 the conductor bound: A-bar*M is the whole cover there, so the conductor
 of A times the cover lies in M, is_member answers yes at once on an
-element all of whose keys lie in it, and every piece from the degree
-full_from on is the whole cover piece (piece_basis).  No other module,
-coordinate_ring least of all, uses the bound.
+element all of whose keys lie in it, and every piece all of whose cover
+keys lie in it, in particular every piece from the degree full_from on,
+is the whole cover piece (piece_basis).  No other module, coordinate_ring
+least of all, uses the bound.
 
 A ModuleElement is built, stored and read as a sparse vector over the
 cover coordinates (branch, slot, t-exponent), the same keys that index a
@@ -270,13 +271,16 @@ class GradedSubmodule:
         return [elem for _, _, elem in self._piece(w)[1]]
 
     def piece_basis(self, w: int) -> List[ModuleElement]:
-        """A basis of M_w of graded_piece's size: from full_from on, where
-        M_w is the whole cover piece, its unit vectors, with no elimination;
-        below it (or with no bound), graded_piece(w)."""
-        if self.full_from is None or w < self.full_from:
+        """A basis of M_w of graded_piece's size: the cover piece's unit
+        vectors, with no elimination, where every key (i, j, e) of it has
+        e >= conductor[i] (at every w >= full_from, and at some below);
+        graded_piece(w) elsewhere or with no bound."""
+        kappa = self.conductor
+        slots = self._degree_slots(w)
+        if kappa is None or any(e < kappa[i] for i, _, e in slots):
             return self.graded_piece(w)
         one = self.curve.field.one()
-        return [_of(self.curve.field, {key: one}) for key in self._degree_slots(w)]
+        return [_of(self.curve.field, {key: one}) for key in slots]
 
     def is_member(self, v: ModuleElement) -> bool:
         """Whether a homogeneous element lies in M: contains(v) is not None,

@@ -12,7 +12,7 @@ import pytest
 
 from qhc import io
 from qhc.catalog import catalog_get, fixture_modules
-from qhc.cli import main
+from qhc.cli import build_parser, main
 from qhc.errors import InputError
 
 from conftest import y_family_curve
@@ -380,6 +380,49 @@ def test_cli_help_exits_0(capsys):
         assert capsys.readouterr().out.startswith("usage: qhc")
 
 
+def test_the_shared_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # build_parser is cached, so every main() call after the first parses
+    # with the same parser object; each call must print and exit exactly as
+    # one made right after a fresh build.
+    monkeypatch.setenv("COLUMNS", "80")
+    entry = catalog_get("Y_3_2")
+    curve = entry.curve()
+    cpath = _write(tmp_path, "curve.json", io.curve_to_json(curve))
+    module = io.module_to_json(fixture_modules(entry)[0].module(curve))
+    connect = ["module", "--curve", cpath, "--module", _write(tmp_path, "module.json", module), "connect"]
+    sequence = [
+        connect + ["--samples", "3", "--seed", "5"],
+        connect + ["--samples", "10001"],
+        ["curve", "--in", cpath, "semigroups", "--max-degree", "30"],
+        ["curve", "--in", cpath, "semigroups", "--bogus"],
+        ["curve", "--in", cpath, "semigroups", "--max-degree", "-1"],
+        ["catalog", "list"],
+        ["--help"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        return (code,) + tuple(capsys.readouterr())
+
+    build_parser.cache_clear()
+    shared = [run(argv) for argv in sequence]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 1, 0, 1, 1, 0, ("SystemExit", 0)]
+    # --help is formatted when printed, so the kept parser follows COLUMNS.
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = run(["--help"])
+    build_parser.cache_clear()
+    assert narrow == run(["--help"]) != shared[-1]
+
+
 def test_cli_rejects_a_min_poly_with_a_repeated_root(tmp_path, capsys):
     # D_4 lives over Q(i); (a + 1)^2 keeps the coordinate count but is not
     # square-free, so the spec fails before any branch is read.
@@ -515,7 +558,7 @@ def test_cli_rejects_degrees_above_the_budget(tmp_path, capsys):
 
 _TIMED_CLI = """
 import sys, time
-from qhc.cli import main
+from qhc.cli import build_parser, main
 start = time.perf_counter()
 code = main(sys.argv[1:])
 print("elapsed %.6f" % (time.perf_counter() - start), file=sys.stderr)

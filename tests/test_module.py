@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 
 from qhc.catalog import ADE_LABELS, catalog_get, fixture_modules
-from qhc.connection import apply_nabla_D, apply_nabla_E, default_degree_bound
+from qhc.connection import (
+    apply_nabla_D,
+    apply_nabla_E,
+    default_degree_bound,
+    natural_connection,
+    verify_properties,
+)
 from qhc.derivation import q_element
 from qhc.errors import ConsistencyError, InputError
 from qhc.field import QQ
@@ -830,3 +836,34 @@ def test_the_bound_needs_projections_that_generate_the_cover():
     Mc = M.canonical_embedding()
     assert Mc.cover == FreeCover(((2,),))
     assert Mc.full_from == 2 + Mc.conductor[0] * curve.branches[0].t_degree
+
+
+def _in_the_conductor(M, w):
+    """Whether every key (i, j, e) of the degree-w cover piece has e >= kappa_i."""
+    return all(e >= M.conductor[i] for i, _, e in M._degree_slots(w))
+
+
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_verify_builds_no_piece_inside_the_conductor(label, monkeypatch):
+    # Below full_from a piece can still lie inside the conductor; piece_basis
+    # gives its unit vectors there too, so verify_properties eliminates none.
+    entry = catalog_get(label)
+    curve = entry.curve()
+    asked = []
+    piece = GradedSubmodule._piece
+
+    def recording_piece(self, w):
+        asked.append((self, w))
+        return piece(self, w)
+
+    monkeypatch.setattr(GradedSubmodule, "_piece", recording_piece)
+    for fx in fixture_modules(entry):
+        report = natural_connection(curve, fx.module(curve))
+        if not report.succeeded:
+            continue
+        M = report.module
+        asked.clear()
+        verify_properties(curve, report, samples=5, seed=0)
+        assert not [w for N, w in asked if N is M and _in_the_conductor(M, w)], (label, fx.name)
+        for w in range(M.min_shift(), default_degree_bound(curve, M) + 1):
+            assert len(M.piece_basis(w)) == len(M.graded_piece(w)), (label, fx.name, w)
