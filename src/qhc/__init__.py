@@ -5,7 +5,7 @@ from .curve import Branch, BranchKind, QuasiCurve, factor, infer_weights
 from .derivation import euler, extend, koszul, q_element
 from .field import FieldElement, NumberField, QQ
 from .module import FreeCover, GradedSubmodule, ModuleElement
-from .poly import BiPoly, UniPoly
+from .poly import BiPoly
 from .semigroup import gamma_formula, gamma_oracle, is_symmetric, sg_from_generators
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "GradedSubmodule",
     "ModuleElement",
     "BiPoly",
-    "UniPoly",
     "gamma_formula",
     "gamma_oracle",
     "is_symmetric",

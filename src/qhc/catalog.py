@@ -20,7 +20,7 @@ from .errors import InputError
 from .field import NumberField, QQ
 from .module import FreeCover, GradedSubmodule, ModuleElement
 from .poly import BiPoly
-from .semigroup import gamma_formula, sg_from_generators
+from .semigroup import gamma_formula
 
 # Minimal cyclotomic extensions used by the catalog.
 Q_I = NumberField((1, 0, 1))  # Q(i), a^2 = -1
@@ -165,7 +165,7 @@ def fixture_modules(entry: CatalogEntry) -> List[FixtureModule]:
                 ModuleElement(fld, {(1, 0, h): one}),
             )
             fixtures.append(FixtureModule("case1_h%d" % h, cover1, gens))
-        base = sg_from_generators((curve.wx, curve.wy))
+        base = gamma2.base  # the branch value semigroup <w_x, w_y>
         for h in range(1, base.conductor):
             if base.contains(h):
                 continue
@@ -180,8 +180,7 @@ def fixture_modules(entry: CatalogEntry) -> List[FixtureModule]:
     cover = FreeCover(tuple((0,) for _ in range(curve.r)))
     ones = ModuleElement(fld, {(i, 0, 0): one for i in range(curve.r)})
     norm_gens = [ones]
-    for i in range(curve.r):
-        c_i = gamma_formula(curve, i).conductor
+    for i, c_i in enumerate(curve.conductors):
         for g in range(1, c_i + 1):
             norm_gens.append(ModuleElement(fld, {(i, 0, g): one}))
     fixtures.append(FixtureModule("normalization", cover, tuple(norm_gens)))

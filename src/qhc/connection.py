@@ -8,7 +8,8 @@ natural_connection decides which sufficient condition applies ((C1)+(C2),
 verify_properties re-checks the Leibniz rule, gradedness and the
 commutator identity by exact sampling, on a basis of each degree piece
 that is the cover's unit vectors, with no elimination, wherever every key
-of the cover piece lies in the conductor (GradedSubmodule.piece_basis).
+of the cover piece lies in the conductor, whose exponents kappa_i the
+curve holds (QuasiCurve.conductors, GradedSubmodule.piece_basis).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .module import (
     element_degree,
 )
 from .poly import BiPoly, monomials_of_weight
-from .semigroup import gamma_formula
 
 
 def apply_nabla_E(curve: QuasiCurve, cover: FreeCover, v: ModuleElement) -> ModuleElement:
@@ -143,10 +143,7 @@ def natural_connection(curve: QuasiCurve, M: GradedSubmodule) -> ConnectionRepor
 def default_degree_bound(curve: QuasiCurve, M: GradedSubmodule) -> int:
     """Covers every degree touched by nabla_D images and conductor checks."""
     lam = curve.wf - curve.wx - curve.wy
-    max_cd = max(
-        gamma_formula(curve, i).conductor * curve.branches[i].t_degree
-        for i in range(curve.r)
-    )
+    max_cd = max(c * br.t_degree for c, br in zip(curve.conductors, curve.branches))
     return max(M.weights, default=0) + lam + max_cd + 2 * max(curve.wx, curve.wy)
 
 

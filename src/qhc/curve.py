@@ -368,6 +368,19 @@ class QuasiCurve:
         return len(self.branches)
 
     @property
+    def conductors(self) -> Tuple[int, ...]:
+        """kappa_i = (w_f - w_i)/d_i + c(A_i) per branch: the conductor of
+        the shifted semigroup Gamma_i, and the exponent of the conductor of
+        A on branch i, the ideal (+) t_i^kappa_i k[t_i] of A-bar inside A."""
+        out = []
+        for i, br in enumerate(self.branches):
+            shift, rest = divmod(self.wf - br.weight, br.t_degree)
+            if rest:
+                raise ConsistencyError("non-integral semigroup shift on branch %d" % (i + 1))
+            out.append(shift + br.conductor)
+        return tuple(out)
+
+    @property
     def lead_exponent(self) -> Tuple[int, int]:
         """(n, k) of the term x^n y^k of f with the largest x-exponent; it is
         unique, since terms of one weight with one x-exponent coincide."""

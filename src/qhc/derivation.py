@@ -16,7 +16,6 @@ from .curve import QuasiCurve
 from .errors import ConsistencyError, InputError
 from .module import _of, coordinate_ring, element_degrees
 from .poly import BiPoly
-from .semigroup import gamma_formula
 
 
 @dataclass(frozen=True)
@@ -108,11 +107,10 @@ def q_element(curve: QuasiCurve) -> tuple:
 def _compute_q(curve: QuasiCurve) -> tuple:
     ext_d = extend(curve, koszul(curve))
     # Each delta_i must be a term beta_i t^{c_i} with c_i the semigroup
-    # conductor; anything else is an internal inconsistency.
-    for i, delta in enumerate(ext_d):
+    # conductor kappa_i; anything else is an internal inconsistency.
+    for i, (delta, expected) in enumerate(zip(ext_d, curve.conductors)):
         if delta is None:
             raise ConsistencyError("extended Koszul delta vanishes on branch %d" % (i + 1))
-        expected = gamma_formula(curve, i).conductor
         if delta[1] != expected:
             raise ConsistencyError(
                 "Koszul exponent %d != semigroup conductor %d on branch %d"

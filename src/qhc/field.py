@@ -232,37 +232,15 @@ class FieldElement:
         field = self.field
         if other.field is not field and other.field != field:
             raise InputError("mismatched field contexts")
-        x, y, dx, dy = self.num, other.num, self.den, other.den
-        if len(x) > 1:
-            return _make(field, [a * dy + b * dx for a, b in zip(x, y)], dx * dy)
-        n, den = x[0] * dy + y[0] * dx, dx * dy
-        if den != 1:
-            g = gcd(n, den)
-            if g != 1:
-                n, den = n // g, den // g
-        e = _alloc(FieldElement)
-        _set_field(e, field)
-        _set_num(e, (n,))
-        _set_den(e, den)
-        return e
+        dx, dy = self.den, other.den
+        return _make(field, [a * dy + b * dx for a, b in zip(self.num, other.num)], dx * dy)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         field = self.field
         if other.field is not field and other.field != field:
             raise InputError("mismatched field contexts")
-        x, y, dx, dy = self.num, other.num, self.den, other.den
-        if len(x) > 1:
-            return _make(field, [a * dy - b * dx for a, b in zip(x, y)], dx * dy)
-        n, den = x[0] * dy - y[0] * dx, dx * dy
-        if den != 1:
-            g = gcd(n, den)
-            if g != 1:
-                n, den = n // g, den // g
-        e = _alloc(FieldElement)
-        _set_field(e, field)
-        _set_num(e, (n,))
-        _set_den(e, den)
-        return e
+        dx, dy = self.den, other.den
+        return _make(field, [a * dy - b * dx for a, b in zip(self.num, other.num)], dx * dy)
 
     def __neg__(self) -> "FieldElement":
         return _new(self.field, tuple(-a for a in self.num), self.den)

@@ -24,6 +24,11 @@ DEGREE_BUDGET = 2000
 # and field arithmetic grow faster than linearly in it.  The catalog's
 # largest is 4.
 MIN_POLY_DEGREE_BUDGET = 32
+# The most decimal digits a min_poly numerator or denominator may have: the
+# square-free check grows faster than linearly in them (a dense degree-32
+# min_poly with 4-digit numerators and denominators takes about 0.4 s, with
+# 10-digit ones about 2.5 s).  The catalog's have one.
+MIN_POLY_DIGIT_BUDGET = 4
 # The largest --samples a connect or selftest may ask for: each sample
 # builds, acts on and compares module elements.
 SAMPLES_BUDGET = 10000
@@ -49,7 +54,13 @@ def curve_from_json(data: Dict[str, Any]) -> QuasiCurve:
                 "min_poly has degree %d, above the budget %d"
                 % (len(min_poly) - 1, MIN_POLY_DEGREE_BUDGET)
             )
-        field = NumberField(tuple(as_fraction(c) for c in min_poly))
+        coeffs = tuple(as_fraction(c) for c in min_poly)
+        bound = 10 ** MIN_POLY_DIGIT_BUDGET
+        if any(abs(c.numerator) >= bound or c.denominator >= bound for c in coeffs):
+            raise InputError(
+                "a min_poly coefficient has more than %d digits" % MIN_POLY_DIGIT_BUDGET
+            )
+        field = NumberField(coeffs)
         terms = {}
         for term in data["f"]:
             coeff = element_from_json(field, term["coeff"])

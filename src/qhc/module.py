@@ -11,12 +11,12 @@ piece: GradedSubmodule.is_member says yes or no (at once on a piece of
 full rank), and GradedSubmodule.contains also returns the witness, which
 only the stability check of the connection and image_membership ask for.
 A module built by canonical_embedding (or shifted from one) also knows
-the conductor bound: A-bar*M is the whole cover there, so the conductor
-of A times the cover lies in M, is_member answers yes at once on an
-element all of whose keys lie in it, and every piece all of whose cover
-keys lie in it, in particular every piece from the degree full_from on,
-is the whole cover piece (piece_basis).  No other module, coordinate_ring
-least of all, uses the bound.
+the conductor bound, the exponents kappa_i of QuasiCurve.conductors:
+A-bar*M is the whole cover there, so the conductor of A times the cover
+lies in M, is_member answers yes at once on an element all of whose keys
+lie in it, and every piece all of whose cover keys lie in it is the whole
+cover piece (piece_basis).  No other module, coordinate_ring least of
+all, uses the bound.
 
 A ModuleElement is built, stored and read as a sparse vector over the
 cover coordinates (branch, slot, t-exponent), the same keys that index a
@@ -38,7 +38,6 @@ from .curve import QuasiCurve
 from .errors import ConsistencyError, InputError
 from .field import FieldElement
 from .poly import standard_monomials
-from .semigroup import gamma_formula
 
 
 @dataclass(frozen=True)
@@ -181,9 +180,9 @@ class GradedSubmodule:
     construction; shifted() and canonical_embedding() return new modules
     that start empty.
 
-    ``conductor`` (the exponent kappa_i of the conductor of A on each
-    branch) and ``full_from`` are set on a module that canonical_embedding
-    returns and kept by shifted(); on any other module both are None.
+    ``conductor`` (curve.conductors, the exponent kappa_i of the conductor
+    of A on each branch) is set on a module that canonical_embedding
+    returns and kept by shifted(); on any other module it is None.
     """
 
     def __init__(
@@ -206,7 +205,6 @@ class GradedSubmodule:
                 raise InputError("zero generator is not allowed")
             self.weights.append(w)
         self.conductor: Optional[Tuple[int, ...]] = None
-        self.full_from: Optional[int] = None
 
     # -- coordinates of a fixed degree -------------------------------------
 
@@ -273,8 +271,7 @@ class GradedSubmodule:
     def piece_basis(self, w: int) -> List[ModuleElement]:
         """A basis of M_w of graded_piece's size: the cover piece's unit
         vectors, with no elimination, where every key (i, j, e) of it has
-        e >= conductor[i] (at every w >= full_from, and at some below);
-        graded_piece(w) elsewhere or with no bound."""
+        e >= conductor[i]; graded_piece(w) elsewhere or with no bound."""
         kappa = self.conductor
         slots = self._degree_slots(w)
         if kappa is None or any(e < kappa[i] for i, _, e in slots):
@@ -380,17 +377,16 @@ class GradedSubmodule:
         return GradedSubmodule(self.curve, new_cover, new_gens)._bound_by_conductor()
 
     def _bound_by_conductor(self) -> "GradedSubmodule":
-        """Set conductor and full_from on a module with A-bar*M = cover.
+        """Set conductor on a module with A-bar*M = cover.
 
         The conductor of A is the A-bar-ideal (+) t_i^kappa_i k[t_i] inside
-        A, kappa_i = gamma_formula(curve, i).conductor, so it times the
-        cover is it times A-bar*M, which lies in M: every key (i, j, e) with
-        e >= kappa_i is in M, and so is each whole cover piece of degree
-        w >= full_from = max_ij (f_ij + kappa_i d_i).  A-bar*M = cover means
-        that each branch projection generates its cover over k[t_i].  That
-        is checked without an elimination: each slot (i, j) must be the
-        last branch-i slot of some generator, at exponent 0, so that those
-        generators are a triangular basis change with constant diagonal.
+        A, kappa_i = curve.conductors[i], so it times the cover is it times
+        A-bar*M, which lies in M: every key (i, j, e) with e >= kappa_i is
+        in M.  A-bar*M = cover means that each branch projection generates
+        its cover over k[t_i].  That is checked without an elimination: each
+        slot (i, j) must be the last branch-i slot of some generator, at
+        exponent 0, so that those generators are a triangular basis change
+        with constant diagonal.
         """
         heads = set()
         for g in self.generators:
@@ -401,16 +397,7 @@ class GradedSubmodule:
             heads.update((i, j) for i, (j, e) in last.items() if e == 0)
         if not heads.issuperset(self.cover.slots()):
             raise ConsistencyError("a branch projection does not generate its cover")
-        curve = self.curve
-        self.conductor = tuple(gamma_formula(curve, i).conductor for i in range(curve.r))
-        self.full_from = max(
-            (
-                f_ij + self.conductor[i] * curve.branches[i].t_degree
-                for i, row in enumerate(self.cover.shifts)
-                for f_ij in row
-            ),
-            default=0,
-        )
+        self.conductor = self.curve.conductors
         return self
 
     # -- conditions ----------------------------------------------------------
@@ -441,11 +428,12 @@ class GradedSubmodule:
         return GradedSubmodule(self.curve, cover, [g for g in parts if g])
 
     def check_C2(self) -> Dict[Tuple[int, int], bool]:
-        """(C2): t_i^{g_i} e_ij in M for every cover slot."""
+        """(C2): t_i^{g_i} e_ij in M for every cover slot, g_i = kappa_i - 1
+        the Frobenius number of Gamma_i."""
         out = {}
-        gammas = [gamma_formula(self.curve, i) for i in range(self.curve.r)]
+        kappa = self.curve.conductors
         for i, j in self.cover.slots():
-            g = gammas[i].frobenius
+            g = kappa[i] - 1
             if g < 0:
                 raise InputError("(C2) undefined: branch %d has negative Frobenius" % (i + 1))
             target = basis_element(self.curve, i, j, g)
@@ -463,10 +451,9 @@ class GradedSubmodule:
 
     def shifted(self, lam: int) -> "GradedSubmodule":
         """M(lam): all shifts and weights translated by lam; the keys, and so
-        the conductor bound, stay, and full_from moves by lam."""
+        the conductor bound, stay."""
         M = GradedSubmodule(self.curve, self.cover.shifted(lam), self.generators)
-        if self.conductor is not None:
-            M.conductor, M.full_from = self.conductor, self.full_from + lam
+        M.conductor = self.conductor
         return M
 
     def min_shift(self) -> int:

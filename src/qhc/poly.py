@@ -7,7 +7,7 @@ Coefficients live in a NumberField.  Representations are canonical
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping
 
 from .errors import InputError, NotHomogeneousError
 from .field import FieldElement, NumberField
@@ -121,15 +121,6 @@ class UniPoly:
         return UniPoly.make(
             self.field, {e - 1: c.scale(e) for e, c in self.terms if e > 0}
         )
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def monomial_parts(self) -> Tuple[FieldElement, int]:
-        if not self.is_monomial():
-            raise InputError("not a monomial: %s" % self)
-        e, c = self.terms[0]
-        return c, e
 
     def __str__(self) -> str:
         return " + ".join(term_str((c, e)) for e, c in self.terms) or "0"

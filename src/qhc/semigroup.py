@@ -1,11 +1,12 @@
 """Numerical semigroups of branches and the shifted semigroups Gamma_i.
 
 The shifted semigroup of branch i is computed two ways: the closed
-formula (shift + branch value semigroup, conductor (w_f-w_i)/d_i + c(A_i))
-and a brute-force membership oracle that decides t_i^gamma in A by
-membership of the cover element {(i, 0, gamma): 1} in the coordinate
-ring module A*(1,...,1), through the graded module kernel.  Tests keep
-the two routes in agreement.
+formula (shift + branch value semigroup, the shift read off the curve's
+conductor kappa_i = (w_f-w_i)/d_i + c(A_i), QuasiCurve.conductors) and a
+brute-force membership oracle that decides t_i^gamma in A by membership
+of the cover element {(i, 0, gamma): 1} in the coordinate ring module
+A*(1,...,1), through the graded module kernel.  Tests keep the two
+routes in agreement.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Set
 
 from .curve import BranchKind, QuasiCurve
-from .errors import ConsistencyError, InputError
+from .errors import InputError
+from .module import basis_element, coordinate_ring
 
 
 @dataclass(frozen=True)
@@ -86,12 +88,15 @@ class ShiftedSemigroup:
 
 
 def gamma_formula(curve: QuasiCurve, i: int) -> ShiftedSemigroup:
-    """Gamma_i via the conductor formula c_i = (w_f - w_i)/d_i + c(A_i)."""
+    """Gamma_i = s_i + Gamma(A_i), s_i = (w_f - w_i)/d_i.
+
+    The shift is read off the curve's conductor kappa_i = s_i + c(A_i)
+    (QuasiCurve.conductors) and the gaps of the branch value semigroup
+    Gamma(A_i) come from its sieve.  The conductor is s_i plus the
+    sieve's, so it equals kappa_i exactly when the closed form c(A_i) does.
+    """
     br = curve.branches[i]
-    num = curve.wf - br.weight
-    if num % br.t_degree != 0:
-        raise ConsistencyError("non-integral semigroup shift on branch %d" % (i + 1))
-    shift = num // br.t_degree
+    shift = curve.conductors[i] - br.conductor
     if br.kind is BranchKind.BINOMIAL:
         base = sg_from_generators((curve.wx, curve.wy))
     else:
@@ -103,8 +108,5 @@ def gamma_formula(curve: QuasiCurve, i: int) -> ShiftedSemigroup:
 def gamma_oracle(curve: QuasiCurve, i: int, bound: int) -> Set[int]:
     """Members of Gamma_i on [0, bound]: each t_i^gamma, the cover element
     {(i, 0, gamma): 1}, asked of coordinate_ring(curve).is_member."""
-    # module imports this module, so the import waits until first use.
-    from .module import basis_element, coordinate_ring
-
     ring = coordinate_ring(curve)
     return {g for g in range(bound + 1) if ring.is_member(basis_element(curve, i, 0, g))}

@@ -6,12 +6,13 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from qhc import io
-from qhc.catalog import catalog_get, fixture_modules
+from qhc.catalog import ADE_LABELS, catalog_get, fixture_modules
 from qhc.cli import build_parser, main
 from qhc.errors import InputError
 
@@ -622,3 +623,46 @@ def test_cli_rejects_a_min_poly_above_the_degree_budget(tmp_path):
     one = ["1/1"] + ["0/1"] * (io.MIN_POLY_DEGREE_BUDGET - 1)
     spec.update(weights=[1, 1], f=[{"coeff": one, "x": 1, "y": 1}])
     assert io.curve_from_json(spec).field.degree == io.MIN_POLY_DEGREE_BUDGET
+
+
+def test_cli_rejects_min_poly_coefficients_above_the_digit_budget(tmp_path, capsys):
+    # The square-free check on a dense degree-32 min_poly with 20-digit
+    # numerators and denominators took about 9 s; the budget rejects it
+    # before the field is built.
+    rng = random.Random(32)
+    digits = 20
+    min_poly = [
+        "%d/%d" % (rng.choice((1, -1)) * rng.randrange(10 ** (digits - 1), 10 ** digits),
+                   rng.randrange(10 ** (digits - 1), 10 ** digits))
+        for _ in range(32)
+    ] + ["1/1"]
+    spec = {"field": {"min_poly": min_poly},
+            "f": [{"coeff": ["1/1"] + ["0/1"] * 31, "x": 2, "y": 0},
+                  {"coeff": ["1/1"] + ["0/1"] * 31, "x": 0, "y": 3}]}
+    path = _write(tmp_path, "curve.json", spec)
+    start = time.perf_counter()
+    code = main(["curve", "--in", path, "info"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 1 and not out
+    assert err.strip() == (
+        "input error: a min_poly coefficient has more than %d digits" % io.MIN_POLY_DIGIT_BUDGET
+    )
+    assert elapsed < 0.5
+    # A numerator or a denominator one digit past the budget is rejected;
+    # at the budget both are allowed.
+    big = 10 ** io.MIN_POLY_DIGIT_BUDGET
+    for coeff in ("%d/1" % big, "1/%d" % big, "%d/1" % -big):
+        with pytest.raises(InputError, match="more than %d digits" % io.MIN_POLY_DIGIT_BUDGET):
+            io.curve_from_json({"field": {"min_poly": [coeff, "0/1", "1/1"]}, "f": []})
+    edge = "%d/%d" % (big - 1, big - 2)
+    spec = {"field": {"min_poly": [edge, "0/1", "1/1"]}, "weights": [1, 1],
+            "f": [{"coeff": ["1/1", "0/1"], "x": 1, "y": 1}]}
+    assert io.curve_from_json(spec).field.min_poly[0] == Fraction(big - 1, big - 2)
+
+
+@pytest.mark.parametrize("label", list(ADE_LABELS) + ["Y_3_2"])
+def test_every_catalog_field_loads_within_the_budgets(label):
+    curve = catalog_get(label).curve()
+    again = io.curve_from_json(io.curve_to_json(curve))
+    assert again.field == curve.field and again.branches == curve.branches

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhc import connection, io
+from qhc import connection, io, semigroup
 from qhc.catalog import ADE_LABELS, catalog_get, fixture_modules
 from qhc.connection import (
     apply_nabla_D,
@@ -28,7 +28,7 @@ from qhc.module import (
 from qhc.poly import UniPoly
 
 from conftest import cusp_curve, y_family_curve
-from test_module import case1_module, case2_module, element_of, entries_of, unstable_cusp_module
+from test_module import CATALOG_LABELS, case1_module, case2_module, element_of, entries_of, unstable_cusp_module
 from test_terms import reference_act
 
 
@@ -327,7 +327,8 @@ def test_connect_and_verify_field_product_ceiling(monkeypatch):
     # commutator took three scalings, 3322 with one, 3290 since a witness
     # is solved on the pivot rows, 2996 since a piece is spanned by
     # standard monomials only, 2257 since verification reads the cover's
-    # unit vectors from full_from on.  free_square_module adds 1028 (3285):
+    # unit vectors on pieces inside the conductor (kappa_i from
+    # QuasiCurve.conductors).  free_square_module adds 1028 (3285):
     # its piece vectors repeat a degree on a branch, so a nabla_D that
     # recomputed w*c_i for every key would make 26 more.  A count, not a
     # time, so it does not depend on the machine.
@@ -347,3 +348,25 @@ def test_connect_and_verify_field_product_ceiling(monkeypatch):
             assert report.succeeded
             verify_properties(curve, report, samples=5, seed=0)
     assert len(products) <= 3285
+
+
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_connect_and_verify_build_no_semigroup(label, monkeypatch):
+    # The conductor exponents kappa_i are read from QuasiCurve.conductors:
+    # the modules, q and the degree bound rebuild no semigroup by sieve.
+    entry = catalog_get(label)
+    curve = entry.curve()
+    modules = [fx.module(curve) for fx in fixture_modules(entry)]
+    sieves = []
+    real_sieve = semigroup.sg_from_generators
+
+    def counting_sieve(gens):
+        sieves.append(tuple(gens))
+        return real_sieve(gens)
+
+    monkeypatch.setattr(semigroup, "sg_from_generators", counting_sieve)
+    for M in modules:
+        report = natural_connection(curve, M)
+        if report.succeeded:
+            verify_properties(curve, report, samples=5, seed=0)
+    assert sieves == []

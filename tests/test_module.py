@@ -247,14 +247,14 @@ def reference_canonical_embedding(M):
             candidates = [idx for idx, c in enumerate(work) if c[row]]
             if not candidates:
                 continue
-            best = min(candidates, key=lambda idx: work[idx][row].monomial_parts()[1])
+            best = min(candidates, key=lambda idx: work[idx][row].terms[0][0])
             pivot = work.pop(best)
-            pc, pe = pivot[row].monomial_parts()
+            pe, pc = pivot[row].terms[0]
             pivot = [p.scale(pc.inv()) for p in pivot]
             remaining = []
             for c in work:
                 if c[row]:
-                    cc, ce = c[row].monomial_parts()
+                    ce, cc = c[row].terms[0]
                     if ce < pe:
                         raise ConsistencyError("pivot was not minimal")
                     factor = UniPoly.monomial(field, cc, ce - pe)
@@ -269,8 +269,8 @@ def reference_canonical_embedding(M):
                 row_j, col_j = basis[j]
                 if not col_k[row_j]:
                     continue
-                cc, ce = col_k[row_j].monomial_parts()
-                pe = col_j[row_j].monomial_parts()[1]
+                ce, cc = col_k[row_j].terms[0]
+                pe = col_j[row_j].terms[0][0]
                 if ce >= pe:
                     factor = UniPoly.monomial(field, cc, ce - pe)
                     col_k = [a - factor * b for a, b in zip(col_k, col_j)]
@@ -278,7 +278,7 @@ def reference_canonical_embedding(M):
         shifts = []
         for row, col in basis:
             j_nz, nz = next((j, p) for j, p in enumerate(col) if p)
-            _, e = nz.monomial_parts()
+            e = nz.terms[0][0]
             shifts.append(branch_shifts[j_nz] + e * d_i)
         new_shifts.append(tuple(shifts))
         bases.append(basis)
@@ -291,8 +291,8 @@ def reference_canonical_embedding(M):
             for new_j, (row, col) in enumerate(bases[i]):
                 if not p[row]:
                     continue
-                pc, pe = p[row].monomial_parts()
-                bc, be = col[row].monomial_parts()
+                pe, pc = p[row].terms[0]
+                be, bc = col[row].terms[0]
                 if pe < be:
                     raise ConsistencyError("projection not in branch module")
                 q = UniPoly.monomial(field, pc / bc, pe - be)
@@ -743,8 +743,8 @@ def test_pieces_from_full_from_on_are_full(label):
     for fx in fixture_modules(entry):
         for name, M in _bounded_variants(fx.module(curve)):
             assert M.conductor == kappa, (label, fx.name, name)
-            assert M.full_from == _expected_full_from(M, kappa), (label, fx.name, name)
-            for w in range(M.full_from, M.full_from + span + 1):
+            full_from = _expected_full_from(M, kappa)
+            for w in range(full_from, full_from + span + 1):
                 slots = M._degree_slots(w)
                 assert len(M.graded_piece(w)) == len(slots) > 0, (label, fx.name, name, w)
                 assert M.piece_basis(w) == [basis_element(curve, *key) for key in slots]
@@ -781,11 +781,12 @@ def test_conductor_shortcut_agrees_with_elimination(label):
     for M0 in modules:
         for name, M in _bounded_variants(M0):
             plain = GradedSubmodule(curve, M.cover, M.generators)
-            assert plain.conductor is None and plain.full_from is None
+            assert plain.conductor is None
             candidates = [
                 basis_element(curve, i, j, M.conductor[i] - 1) for i, j in M.cover.slots()
             ]
-            for w in range(M.full_from - span, M.full_from + span + 1):
+            full_from = _expected_full_from(M, M.conductor)
+            for w in range(full_from - span, full_from + span + 1):
                 candidates += _straddling_candidates(M, w, rng)
             for v in candidates:
                 expected = plain.is_member(v)
@@ -813,15 +814,14 @@ def test_only_canonical_embeddings_carry_the_bound(label):
     entry = catalog_get(label)
     curve = entry.curve()
     ring = coordinate_ring(curve)
-    assert (ring.conductor, ring.full_from) == (None, None)
+    assert ring.conductor is None
     for fx in fixture_modules(entry):
         M = fx.module(curve)
-        assert (M.conductor, M.full_from) == (None, None)
-        assert (M.shifted(1).conductor, M.shifted(1).full_from) == (None, None)
+        assert M.conductor is None
+        assert M.shifted(1).conductor is None
         Mc = M.canonical_embedding()
         for i in range(curve.r):
-            projection = Mc.projection(i)
-            assert (projection.conductor, projection.full_from) == (None, None)
+            assert Mc.projection(i).conductor is None
     for i in range(curve.r):
         gamma = gamma_formula(curve, i)
         bound = gamma.conductor + 10
@@ -835,7 +835,7 @@ def test_the_bound_needs_projections_that_generate_the_cover():
         M._bound_by_conductor()
     Mc = M.canonical_embedding()
     assert Mc.cover == FreeCover(((2,),))
-    assert Mc.full_from == 2 + Mc.conductor[0] * curve.branches[0].t_degree
+    assert Mc.conductor == _kappa(curve)
 
 
 def _in_the_conductor(M, w):

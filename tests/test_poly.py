@@ -60,13 +60,6 @@ def test_derivatives():
     )
 
 
-def test_monomial_parts():
-    c, e = _t(4, 7).monomial_parts()
-    assert (c.as_rational(), e) == (Fraction(7), 4)
-    with pytest.raises(InputError):
-        (_t(1) + _t(0)).monomial_parts()
-
-
 def test_monomials_of_weight():
     assert monomials_of_weight(3, 2, 6) == [(0, 3), (2, 0)]
     assert monomials_of_weight(3, 2, 1) == []

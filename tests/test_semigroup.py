@@ -1,5 +1,7 @@
 """Numerical semigroups and the per-branch shifted semigroups."""
 
+import random
+
 import pytest
 
 from qhc.catalog import catalog_get
@@ -7,7 +9,8 @@ from qhc.errors import InputError
 from qhc.field import FieldElement
 from qhc.semigroup import gamma_formula, gamma_oracle, is_symmetric, sg_from_generators
 
-from conftest import cusp_curve, y_family_curve
+from conftest import cusp_curve, random_reduced_curve, y_family_curve
+from test_module import CATALOG_LABELS
 
 
 def test_semigroup_two_three():
@@ -113,3 +116,14 @@ def test_oracle_makes_no_more_field_products_than_the_image_columns(monkeypatch)
         for i in range(curve.r):
             assert gamma_oracle(curve, i, 60) == gamma_formula(curve, i).members_upto(60)
     assert len(products) <= 21694
+
+
+def test_curve_conductors_agree_with_the_sieve():
+    # QuasiCurve.conductors is the closed form (w_f - w_i)/d_i + c(A_i);
+    # gamma_formula adds the sieve's conductor of the branch value
+    # semigroup to the shift.  Fixed seed: 60 reduced curves over Q.
+    rng = random.Random(2301)
+    curves = [catalog_get(label).curve() for label in CATALOG_LABELS]
+    curves += [random_reduced_curve(rng)[0] for _ in range(60)]
+    for curve in curves:
+        assert curve.conductors == tuple(gamma_formula(curve, i).conductor for i in range(curve.r))

@@ -195,10 +195,9 @@ def test_act_matches_the_unipoly_reference_on_random_modules():
             _compare_act(curve, ModuleElement(field, coeffs), rng, memo)
 
 
-# The modules of the package that may name UniPoly: poly defines it,
-# __init__ exports it, and curve keeps monomial_image, its UniPoly view of
-# the branch terms.
-_UNIPOLY_ALLOWED = {"poly.py": None, "__init__.py": None, "curve.py": {"monomial_image"}}
+# The modules of the package that may name UniPoly: poly defines it, and
+# curve keeps monomial_image, its UniPoly view of the branch terms.
+_UNIPOLY_ALLOWED = {"poly.py": None, "curve.py": {"monomial_image"}}
 
 
 def _unipoly_names(tree):
