@@ -49,10 +49,12 @@ def apply_nabla_D(
 ) -> ModuleElement:
     """nabla_D = q * nabla_E key by key: (i, j, e) of degree w goes to
     (i, j, e + g_i) with coefficient (w c_i) * c, where q_i = (c_i, g_i),
-    and a key of degree 0 is dropped.  w c_i is computed once per branch
-    and degree met; the key map is injective, so nothing is summed."""
+    and a key of degree 0 is dropped.  w c_i is computed once per curve,
+    q, branch and degree: the products are kept in curve._derived under q,
+    so a q other than q_element(curve) never reads another q's product.
+    The key map is injective, so nothing is summed."""
     fld, branches, shifts = curve.field, curve.branches, cover.shifts
-    factors = {}
+    factors = curve._derived.setdefault(("nabla_D_factors", q), {})
     out = {}
     for (i, j, e), c in v.coeffs.items():
         w = shifts[i][j] + e * branches[i].t_degree

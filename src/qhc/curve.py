@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, InputError
 from .field import FieldElement, NumberField, as_fraction
@@ -103,13 +103,39 @@ def infer_weights(f: BiPoly) -> Tuple[int, int]:
     return ratio
 
 
+def _divisors(n: int) -> List[int]:
+    """The positive divisors of n != 0, ascending, by trial division up to sqrt|n|."""
+    n = abs(n)
+    out = []
+    for d in range(1, int(math.isqrt(n)) + 1):
+        if n % d == 0:
+            out.append(d)
+            out.append(n // d)
+    return sorted(set(out))
+
+
+def _root_candidates(c_0: int, c_s: int) -> Iterator[Fraction]:
+    """Every -p/q and p/q in lowest terms with p | c_0, q | c_s, in (|p|, q, p)
+    order, generated lazily.
+
+    Both divisor lists are ascending, so walking them in nested order gives
+    the order directly: a caller that stops early builds no later candidate.
+    """
+    qs = _divisors(c_s)
+    for p in _divisors(c_0):
+        for q in qs:
+            if math.gcd(p, q) == 1:
+                yield Fraction(-p, q)
+                yield Fraction(p, q)
+
+
 def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
     """Rational roots with multiplicity, sorted by (numerator, denominator).
 
     coeffs are low-first rational coefficients of a nonzero polynomial.
     Past the zero roots, a factor of degree >= 2 is searched by trial
-    division over +-p/q (p | c_0, q | c_s), deflating each root found; a
-    linear one, from the start or after deflation, has its root read directly.
+    division over _root_candidates, deflating each root found; a linear one,
+    from the start or after deflation, has its root read directly.
     """
     coeffs = [as_fraction(c) for c in coeffs]
     while coeffs and not coeffs[-1]:
@@ -125,15 +151,6 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
         ints.pop(0)
         zero_mult += 1
 
-    def divisors(n: int) -> List[int]:
-        n = abs(n)
-        out = []
-        for d in range(1, int(math.isqrt(n)) + 1):
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-        return sorted(set(out))
-
     roots = []
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
@@ -146,11 +163,9 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
 
     work = [Fraction(c) for c in ints]
     if len(work) > 2:
-        qs = divisors(ints[-1])
-        candidates = {Fraction(s * p, q) for p in divisors(ints[0]) for q in qs for s in (1, -1)}
         # Small |numerator| first: those candidates are the cheapest to
         # evaluate, and the search stops once a linear remainder is left.
-        for r in sorted(candidates, key=lambda q: (abs(q.numerator), q.denominator, q.numerator)):
+        for r in _root_candidates(ints[0], ints[-1]):
             mult = 0
             while len(work) > 1 and eval_at(work, r) == 0:
                 work = _deflate(work, r)

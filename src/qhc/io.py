@@ -8,6 +8,7 @@ is byte-identical across runs.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional
 
 from .curve import BranchKind, QuasiCurve, infer_weights
@@ -29,6 +30,14 @@ MIN_POLY_DEGREE_BUDGET = 32
 # min_poly with 4-digit numerators and denominators takes about 0.4 s, with
 # 10-digit ones about 2.5 s).  The catalog's have one.
 MIN_POLY_DIGIT_BUDGET = 4
+# The most decimal digits D^(d-1) may have, D the common denominator of a
+# degree-d min_poly: NumberField._reduce scales every product by it.  a^6
+# and its inverse, a with random one-digit coordinates, on a dense degree-32
+# min_poly take, by digits of D^(d-1): 1 (4-digit integers) 0.49 s, 106
+# (1-digit denominators) 0.55 s, 124 (one 4-digit denominator) 0.60 s, 248
+# (two) 1.5 s, 732 (random 2-digit numerators and denominators) 7.0 s.  The
+# catalog's have 1.
+MIN_POLY_SCALE_DIGIT_BUDGET = 128
 # The largest --samples a connect or selftest may ask for: each sample
 # builds, acts on and compares module elements.
 SAMPLES_BUDGET = 10000
@@ -59,6 +68,13 @@ def curve_from_json(data: Dict[str, Any]) -> QuasiCurve:
         if any(abs(c.numerator) >= bound or c.denominator >= bound for c in coeffs):
             raise InputError(
                 "a min_poly coefficient has more than %d digits" % MIN_POLY_DIGIT_BUDGET
+            )
+        d = len(coeffs) - 1
+        D = math.lcm(*(c.denominator for c in coeffs))
+        if d > 1 and D ** (d - 1) >= 10 ** MIN_POLY_SCALE_DIGIT_BUDGET:
+            raise InputError(
+                "the common denominator D of min_poly makes D^%d more than %d digits long"
+                % (d - 1, MIN_POLY_SCALE_DIGIT_BUDGET)
             )
         field = NumberField(coeffs)
         terms = {}

@@ -661,6 +661,42 @@ def test_cli_rejects_min_poly_coefficients_above_the_digit_budget(tmp_path, caps
     assert io.curve_from_json(spec).field.min_poly[0] == Fraction(big - 1, big - 2)
 
 
+def test_cli_rejects_a_min_poly_whose_denominator_scale_is_above_the_budget(tmp_path, capsys):
+    # Field products scale by D^(d-1), D the common denominator: a^6 and
+    # its inverse took about 7 s on this dense degree-32 min_poly with
+    # 2-digit numerators and denominators, inside the digit budget.
+    rng = random.Random(32)
+    min_poly = [
+        "%d/%d" % (rng.choice((1, -1)) * rng.randrange(10, 100), rng.randrange(10, 100))
+        for _ in range(32)
+    ] + ["1/1"]
+    one = ["1/1"] + ["0/1"] * 31
+    spec = {"field": {"min_poly": min_poly},
+            "f": [{"coeff": one, "x": 2, "y": 0}, {"coeff": one, "x": 0, "y": 3}]}
+    path = _write(tmp_path, "curve.json", spec)
+    start = time.perf_counter()
+    code = main(["curve", "--in", path, "info"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 1 and not out
+    assert err.strip() == (
+        "input error: the common denominator D of min_poly makes D^31 more than %d digits long"
+        % io.MIN_POLY_SCALE_DIGIT_BUDGET
+    )
+    assert elapsed < 0.5
+    # D = 9973 * 9967 has 8 digits: D^16 has 128 and is allowed, D^17 is not.
+    for d, allowed in ((17, True), (18, False)):
+        coeffs = ["%d/%d" % (k + 1, (9973, 9967)[k % 2]) for k in range(d)] + ["1/1"]
+        spec = {"field": {"min_poly": coeffs}, "weights": [1, 1],
+                "f": [{"coeff": ["1/1"] + ["0/1"] * (d - 1), "x": 1, "y": 1}]}
+        assert (len(str((9973 * 9967) ** (d - 1))) <= io.MIN_POLY_SCALE_DIGIT_BUDGET) == allowed
+        if allowed:
+            assert io.curve_from_json(spec).field.degree == d
+        else:
+            with pytest.raises(InputError, match="makes D\\^17 more than"):
+                io.curve_from_json(spec)
+
+
 @pytest.mark.parametrize("label", list(ADE_LABELS) + ["Y_3_2"])
 def test_every_catalog_field_loads_within_the_budgets(label):
     curve = catalog_get(label).curve()

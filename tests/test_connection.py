@@ -58,6 +58,23 @@ def test_nabla_d_on_the_fixture_module():
     assert image == _elem({(1, 0): (-3, 6)})
 
 
+def test_nabla_d_products_are_kept_per_q():
+    # The w*c_i products are kept on the curve: a q with other c_i on the
+    # same branches and degrees, asked after the real one, reads its own.
+    curve = y_family_curve(3, 2)
+    cover = FreeCover(((0,), (0,)))
+    q = q_element(curve)
+    v = _elem({(0, 0): (2, 1), (1, 0): (1, 3)})
+    real = apply_nabla_D(curve, cover, v, q)
+    assert real == reference_nabla_D(curve, cover, v, q)
+    two = curve.field.from_rational(2)
+    mutated = tuple((two * c, g) for c, g in q)
+    image = apply_nabla_D(curve, cover, v, mutated)
+    assert image == reference_nabla_D(curve, cover, v, mutated)
+    assert image == real.scale(two) and image != real
+    assert apply_nabla_D(curve, cover, v, q) == real
+
+
 def test_nabla_d_raises_degree_by_the_koszul_weight():
     from qhc.module import element_degree
 
@@ -328,10 +345,10 @@ def test_connect_and_verify_field_product_ceiling(monkeypatch):
     # is solved on the pivot rows, 2996 since a piece is spanned by
     # standard monomials only, 2257 since verification reads the cover's
     # unit vectors on pieces inside the conductor (kappa_i from
-    # QuasiCurve.conductors).  free_square_module adds 1028 (3285):
-    # its piece vectors repeat a degree on a branch, so a nabla_D that
-    # recomputed w*c_i for every key would make 26 more.  A count, not a
-    # time, so it does not depend on the machine.
+    # QuasiCurve.conductors).  free_square_module adds 1028 (3285).  2993
+    # since nabla_D keeps each w*c_i on the curve: a memo that lived for
+    # one call made 3285, as most calls get a single unit vector.  A count,
+    # not a time, so it does not depend on the machine.
     products = []
     real_mul = FieldElement.__mul__
 
@@ -347,7 +364,7 @@ def test_connect_and_verify_field_product_ceiling(monkeypatch):
             report = natural_connection(curve, M)
             assert report.succeeded
             verify_properties(curve, report, samples=5, seed=0)
-    assert len(products) <= 3285
+    assert len(products) <= 2993
 
 
 @pytest.mark.parametrize("label", CATALOG_LABELS)

@@ -3,6 +3,7 @@
 import inspect
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from qhc.catalog import ADE_LABELS, catalog_get
 from qhc.curve import (
     BranchKind,
     QuasiCurve,
+    _root_candidates,
     _solve_b,
     branch_conductor,
     factor,
@@ -390,6 +392,46 @@ def test_factor_errors_agree_with_full_scan(rng, monkeypatch):
     messages = {m.split(":")[0] for m in new if isinstance(m, str)}
     assert {"not reduced", "root not in field", "b_i not in field"} <= messages
     assert any(not isinstance(m, str) for m in new)
+
+
+def _set_and_sort_candidates(c_0, c_s):
+    """The candidates as rational_roots once built them before trying any:
+    a set of every +-p/q with p | c_0 and q | c_s, sorted by (|p|, q, p)."""
+    qs = _divisors(c_s)
+    candidates = {Fraction(s * p, q) for p in _divisors(c_0) for q in qs for s in (1, -1)}
+    return sorted(candidates, key=lambda q: (abs(q.numerator), q.denominator, q.numerator))
+
+
+def test_root_candidates_follow_the_set_and_sort_order(rng):
+    # 1, primes, prime powers and values with many divisors, either sign.
+    values = [1, 2, 3, 7, 97, 7919, 2 ** 10, 3 ** 6, 12, 360, 720720, 2 ** 4 * 3 ** 3 * 5 ** 2]
+    pairs = [(a, b) for a in (1, 7, 360) for b in (1, 7, 360)]
+    pairs += [(rng.choice(values) * rng.choice((1, -1)), rng.choice(values) * rng.choice((1, -1)))
+              for _ in range(60)]
+    pairs += [(rng.randint(-5000, 5000) or 1, rng.randint(-5000, 5000) or 1) for _ in range(60)]
+    for c_0, c_s in pairs:
+        assert list(_root_candidates(c_0, c_s)) == _set_and_sort_candidates(c_0, c_s), (c_0, c_s)
+
+
+def test_rational_roots_stops_before_building_later_candidates(monkeypatch):
+    # N(u - 1)(u - 2) with N = 2^10 3^6 5^4: 2N and N have 420 and 385
+    # divisors, and the set-and-sort search built and sorted every +-p/q
+    # of those pairs (0.7-1 s) to try two of them.
+    N = 2 ** 10 * 3 ** 6 * 5 ** 4
+    tried = []
+    real = curve_module._root_candidates
+
+    def counting(c_0, c_s):
+        for r in real(c_0, c_s):
+            tried.append(r)
+            yield r
+
+    start = time.perf_counter()
+    assert rational_roots([2 * N, -3 * N, N]) == [(Fraction(1), 1), (Fraction(2), 1)]
+    assert time.perf_counter() - start < 0.05
+    monkeypatch.setattr(curve_module, "_root_candidates", counting)
+    rational_roots([2 * N, -3 * N, N])
+    assert tried == [Fraction(-1), Fraction(1)]
 
 
 def test_only_the_mixed_factor_uses_trial_division(monkeypatch):
