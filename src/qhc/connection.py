@@ -170,19 +170,24 @@ def _random_homogeneous_scalar(
 def _random_module_element(
     rng: random.Random, M: GradedSubmodule, bound: int
 ) -> Optional[ModuleElement]:
-    lo = M.min_shift()
+    lo, fld = M.min_shift(), M.curve.field
     for _ in range(20):
         w = rng.randint(lo, bound)
         basis = M.piece_basis(w)
         if not basis:
             continue
-        out = ModuleElement(M.curve.field, {})
+        out = {}
         for vec in basis:
             c = rng.randint(-3, 3)
             if c:
-                out = out + vec.scale(M.curve.field.from_rational(c))
-        if out:
-            return out
+                c = fld.from_rational(c)
+                for k, v in vec.coeffs.items():
+                    p = c * v
+                    out[k] = out[k] + p if k in out else p
+        # The constructor drops the coefficients that cancelled.
+        elt = ModuleElement(fld, out)
+        if elt:
+            return elt
     return None
 
 

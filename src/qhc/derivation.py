@@ -25,7 +25,18 @@ class DerivationOnA:
     weight: int
 
     def apply(self, h: BiPoly) -> BiPoly:
-        return self.px * h.dx() + self.py * h.dy()
+        """px * dh/dx + py * dh/dy, summed into one dict: the products of
+        BiPoly multiplication, with one canonical polynomial built."""
+        out = {}
+        for (a, b), c in h.terms:
+            for p, e, sa, sb in ((self.px, a, a - 1, b), (self.py, b, a, b - 1)):
+                if e:
+                    dc = c.scale(e)
+                    for (pa, pb), pc in p.terms:
+                        key = (pa + sa, pb + sb)
+                        prod = pc * dc
+                        out[key] = out[key] + prod if key in out else prod
+        return BiPoly.make(self.px.field, out)
 
 
 def euler(curve: QuasiCurve) -> DerivationOnA:

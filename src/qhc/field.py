@@ -226,7 +226,8 @@ class FieldElement:
     # +, - and * check the field with `is` first, and bring a rational result
     # (or a rational times an extension element) to lowest terms and allocate
     # it in place: they are the hottest calls, and helper calls cost more
-    # than the arithmetic.
+    # than the arithmetic.  A product by one returns the other factor, which
+    # immutability makes safe; the result keeps self.field.
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         field = self.field
@@ -250,6 +251,11 @@ class FieldElement:
         if other.field is not field and other.field != field:
             raise InputError("mismatched field contexts")
         x, y = self.num, other.num
+        one = field._one.num
+        if other.den == 1 and y == one:
+            return self
+        if self.den == 1 and x == one and other.field is field:
+            return other
         den = self.den * other.den
         if len(x) == 1:
             n = x[0] * y[0]
@@ -285,14 +291,17 @@ class FieldElement:
         return e
 
     def inv(self) -> "FieldElement":
-        """Multiplicative inverse via extended Euclid on (self, min_poly)."""
+        """Multiplicative inverse: directly for a rational element, else via
+        extended Euclid on (self, min_poly)."""
         if not self:
             raise InputError("inversion of zero")
-        if self.field.degree == 1:
-            n = self.num[0]
+        n, rest = self.num[0], self.num[1:]
+        if not any(rest):
+            # A rational inverts directly (rest is its zero coordinates),
+            # with the sign moved to the numerator.
             if n < 0:
-                return _new(self.field, (-self.den,), -n)
-            return _new(self.field, (self.den,), n)
+                return _new(self.field, (-self.den,) + rest, -n)
+            return _new(self.field, (self.den,) + rest, n)
         # Extended Euclid over Q[x], keeping s_k*a = r_k modulo p.  Each
         # remainder is made monic, with its cofactor divided by the same
         # lead, which keeps the coefficients from growing exponentially in

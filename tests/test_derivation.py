@@ -1,9 +1,11 @@
 """Euler/Koszul derivations, canonical extensions, and the q-element."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from qhc.catalog import catalog_get
 from qhc.curve import QuasiCurve
 from qhc.derivation import (
     DerivationOnA,
@@ -18,6 +20,7 @@ from qhc.field import QQ
 from qhc.poly import BiPoly, monomials_of_weight
 
 from conftest import cusp_curve, rational_poly, times, y_family_curve
+from test_module import CATALOG_LABELS
 
 
 def _t(exp, coeff=1):
@@ -206,3 +209,63 @@ def _random_homogeneous(rng, curve):
     if not terms:
         terms[rng.choice(monos)] = Fraction(1)
     return rational_poly(QQ, terms)
+
+
+# DerivationOnA.apply sums both partial-derivative terms into one dict; the
+# reference is its first form, two BiPoly products and a sum.
+
+
+def reference_apply(P, h):
+    return P.px * h.dx() + P.py * h.dy()
+
+
+def _random_homogeneous_over(rng, curve):
+    """A random homogeneous element of k[x,y] over the curve's field, with
+    coefficients among them 1 and, over an extension, generator multiples."""
+    fld = curve.field
+    gen = fld.generator() if fld.degree > 1 else fld.zero()
+    while True:
+        monos = monomials_of_weight(curve.wx, curve.wy, rng.randint(0, 2 * curve.wf))
+        if monos:
+            break
+    terms = {}
+    for a, b in monos:
+        c = fld.from_rational(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))))
+        c = c + gen.scale(rng.randint(-1, 1))
+        if c:
+            terms[(a, b)] = c
+    return BiPoly.make(fld, terms)
+
+
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_one_pass_apply_matches_the_product_reference(label):
+    curve = catalog_get(label).curve()
+    fld = curve.field
+    rng = random.Random(25)
+    for P in (euler(curve), koszul(curve)):
+        for _ in range(15):
+            h = _random_homogeneous_over(rng, curve)
+            assert P.apply(h) == reference_apply(P, h)
+        assert P.apply(BiPoly.zero(fld)) == BiPoly.zero(fld)
+    # D(f) = f_y f_x - f_x f_y vanishes in k[x,y], not only modulo f.
+    assert koszul(curve).apply(curve.f) == BiPoly.zero(fld) == reference_apply(koszul(curve), curve.f)
+
+
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_extend_and_q_are_unchanged_by_the_one_pass_apply(label, monkeypatch):
+    entry = catalog_get(label)
+    calls = []
+
+    def derived():
+        # A fresh curve each time: q_element is kept on the curve.
+        curve = QuasiCurve.create(entry.field, entry.f, entry.weights, entry.branches)
+        return extend(curve, euler(curve)), extend(curve, koszul(curve)), q_element(curve)
+
+    def counted_reference(P, h):
+        calls.append(None)
+        return reference_apply(P, h)
+
+    fast = derived()
+    monkeypatch.setattr(DerivationOnA, "apply", counted_reference)
+    assert derived() == fast
+    assert calls

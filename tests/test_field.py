@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from qhc import field as field_module
 from qhc.catalog import Q_ZETA8, Q_ZETA12
 from qhc.errors import InputError
 from qhc.field import QQ, FieldElement, NumberField, element_from_json
@@ -164,6 +165,11 @@ def test_mixed_fields_are_rejected_on_every_product_path():
         (QQ.from_rational(2), Q_I.generator()),  # degree 1 x degree 2
         (Q_I.generator(), Q_ZETA8.generator()),  # irrational x irrational
         (Q_I.from_rational(2), Q_ZETA12.generator()),  # rational x irrational
+        # a product by one returns the other factor, but only past the check
+        (QQ.one(), Q_I.generator()),
+        (Q_I.one(), QQ.from_rational(3)),
+        (Q_I.one(), Q_ZETA8.one()),
+        (FieldElement(Q_ZETA12, [1, 0, 0, 0]), Q_I.generator()),
     ):
         for op in (
             lambda: x * y, lambda: y * x,
@@ -178,6 +184,9 @@ def test_mixed_fields_are_rejected_on_every_product_path():
     assert a * b == Q_I.from_rational(-1)
     assert (a + b, a - b) == (b.scale(2), Q_I.zero())
     assert again.from_rational(3) * b == b.scale(3) == b * again.from_rational(3)
+    # A product by one keeps the field of its left factor.
+    assert b * again.one() is b
+    assert again.one() * b == b and (again.one() * b).field is again
     two, third = rational.from_rational(2), QQ.from_rational(Fraction(1, 3))
     assert (two * third, two + third, two - third) == tuple(
         QQ.from_rational(v) for v in (Fraction(2, 3), Fraction(7, 3), Fraction(5, 3))
@@ -230,10 +239,13 @@ def assert_canonical(x):
 @pytest.mark.parametrize("fld", DIFFERENTIAL_FIELDS)
 def test_arithmetic_matches_fraction_coordinates(fld):
     # The pairs reach every path of +, - and *: rational x rational, both
-    # orders of rational x extension element, zero results, and results
-    # whose denominator cancels to 1.
+    # orders of rational x extension element, zero results, results whose
+    # denominator cancels to 1, and products by one (the prebuilt one() and
+    # an equal element built separately) in both orders.
     rng = random.Random(13)
-    zero = fld.zero()
+    zero, one = fld.zero(), fld.one()
+    unit = FieldElement(fld, [1] + [0] * (fld.degree - 1))
+    assert unit == one and unit is not one
     whole_results = 0
     for _ in range(150):
         x, y = _random_element(rng, fld), _random_element(rng, fld)
@@ -248,12 +260,18 @@ def test_arithmetic_matches_fraction_coordinates(fld):
             (r, r2), (r2, r), (r, zero), (zero, x), (x, -x), (r, -r),
             (r, multiple), (multiple, r), (clears_x, x), (x, clears_x),
             (r, fld.from_rational(Fraction(d - p, d))),
+            (one, x), (x, one), (unit, x), (x, unit), (one, r), (r, one),
+            (unit, r), (r, unit), (one, unit), (unit, one), (one, zero), (zero, unit),
         ]:
             xs, ys = a.coords, b.coords
             assert (a + b).coords == tuple(s + t for s, t in zip(xs, ys))
             assert (a - b).coords == tuple(s - t for s, t in zip(xs, ys))
             assert (-a).coords == tuple(-s for s in xs)
             assert (a * b).coords == reference_mul(a, b).coords
+            if b == one:
+                assert a * b is a
+            elif a == one:
+                assert a * b is b
             assert a.scale(q).coords == tuple(q * s for s in xs)
             assert a.scale(3).coords == tuple(3 * s for s in xs)
             for result in (a + b, a - b, -a, a * b, a.scale(q), a.scale(0)):
@@ -513,3 +531,23 @@ def test_inverse_matches_the_unnormalised_euclid():
     fld = eisenstein_field(rng, 32)
     x = dense_element(rng, fld)
     assert x.inv() == reference_euclid_inv(x)
+
+
+def test_rational_elements_invert_without_euclid(monkeypatch):
+    # A rational element of an extension field inverts directly, as over Q:
+    # the sign goes to the numerator and the denominator stays positive.
+    # HALF and SIXTH have min_polys with denominators (D = 2 and D = 6).
+    def no_euclid(num, den):
+        raise AssertionError("a rational inverse ran the Euclid")
+
+    monkeypatch.setattr(field_module, "_poly_divmod", no_euclid)
+    values = [Fraction(-3, 7), Fraction(5, 2), Fraction(-9, 4), Fraction(1, 6), -1, 1, 7, -12]
+    for fld in DIFFERENTIAL_FIELDS:
+        one = fld.one()
+        for v in values:
+            x = fld.from_rational(v)
+            y = x.inv()
+            assert y == reference_euclid_inv(x), (fld, v)
+            assert y.as_rational() == 1 / Fraction(v)
+            assert x * y == one
+            assert_canonical(y)
