@@ -171,6 +171,8 @@ def _random_module_element(
     rng: random.Random, M: GradedSubmodule, bound: int
 ) -> Optional[ModuleElement]:
     lo, fld = M.min_shift(), M.curve.field
+    if bound < lo:
+        return None
     for _ in range(20):
         w = rng.randint(lo, bound)
         basis = M.piece_basis(w)

@@ -1,12 +1,13 @@
 """Exact Gaussian elimination over a NumberField.
 
-Matrices are lists of rows of FieldElement.  Everything is small and
-exact; no pivoting heuristics beyond first nonzero entry.  One routine,
-Elimination, reduces columns in order; solve and independent_subset are
-built on it, and graded modules keep one per degree.  Yes/no membership
-(in_span) reads a fraction-free echelon of the kept columns and needs no
-inverse; a solution (solve) eliminates the square system of the kept
-columns on the echelon's pivot rows.
+Vectors are sparse maps {row key: nonzero FieldElement}, such as a module
+element's coefficients; solve and independent_subset take dense lists and
+key them by position.  Everything is small and exact; the pivot is the
+least key.  One routine, Elimination, reduces columns in order; solve and
+independent_subset are built on it, and graded modules keep one per degree.
+Yes/no membership (in_span) reads a fraction-free echelon of the kept
+columns and needs no inverse; a solution (solve) eliminates the square
+system of the kept columns on the echelon's pivot rows.
 """
 
 from __future__ import annotations
@@ -17,6 +18,18 @@ from .errors import InputError
 from .field import FieldElement, NumberField
 
 
+def sub_multiple(v: dict, c: FieldElement, e: dict) -> dict:
+    """v - c*e as a new map, keeping no zero."""
+    out = dict(v)
+    for k, b in e.items():
+        s = out[k] - c * b if k in out else -(c * b)
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
 def _columns(matrix: List[List[FieldElement]]) -> List[List[FieldElement]]:
     ncols = len(matrix[0]) if matrix else 0
     for row in matrix:
@@ -25,9 +38,13 @@ def _columns(matrix: List[List[FieldElement]]) -> List[List[FieldElement]]:
     return [[row[c] for row in matrix] for c in range(ncols)]
 
 
+def _sparse(vec: List[FieldElement]) -> dict:
+    return {r: x for r, x in enumerate(vec) if x}
+
+
 def _pivot_columns(elimination: "Elimination", columns) -> List[int]:
-    """Add columns in order; indices of the ones kept as pivot columns."""
-    return [idx for idx, col in enumerate(columns) if elimination.add(col)]
+    """Add dense columns in order; indices of the ones kept as pivot columns."""
+    return [idx for idx, col in enumerate(columns) if elimination.add(_sparse(col))]
 
 
 def solve(
@@ -45,7 +62,7 @@ def solve(
     columns = _columns(matrix)
     elimination = Elimination(len(matrix), field)
     pivots = _pivot_columns(elimination, columns)
-    coeffs = elimination.solve(rhs)
+    coeffs = elimination.solve(_sparse(rhs))
     if coeffs is None:
         return None
     sol = [field.zero()] * len(columns)
@@ -66,12 +83,13 @@ def independent_subset(
 class Elimination:
     """Column elimination of a matrix fed column by column, kept for reuse.
 
-    add keeps a column when it is independent of the columns kept so far,
-    so the kept columns are the greedy independent choice, and keeps it
+    Columns are sparse vectors on nrows keys, read and never changed.  add
+    keeps a column when it is independent of the columns kept so far, so
+    the kept columns are the greedy independent choice, and keeps it
     reduced against the earlier ones in an echelon: fraction-free, by steps
-    v -> lead * v - x * e with x = v[p] on the pivot row p of an earlier
-    vector e, so add needs no inverse.  in_span decides membership in the
-    span from that echelon, at once when the rank is full.
+    v -> lead * v - x * e with x = v[p] on the pivot row p, the least key,
+    of an earlier vector e, so add needs no inverse.  in_span decides
+    membership in the span from that echelon, at once when the rank is full.
 
     solve reads the k x k system K_P of the kept columns on the echelon's
     pivot rows p_0, ..., p_k-1, in echelon order.  A step against e_j zeroes
@@ -88,7 +106,7 @@ class Elimination:
     def __init__(self, nrows: int, field: NumberField):
         self.nrows = nrows
         self.field = field
-        self._kept: List[List[FieldElement]] = []
+        self._kept: List[dict] = []
         # Per kept column: its pivot row, its reduced vector and the entry
         # there (None when it is one).
         self._echelon: List[tuple] = []
@@ -101,45 +119,43 @@ class Elimination:
     def full(self) -> bool:
         return self.rank == self.nrows
 
-    def _reduce(self, vec: List[FieldElement]) -> List[FieldElement]:
-        """vec reduced against the echelon: zero exactly when in the span."""
-        v = list(vec)
+    def _reduce(self, vec: dict) -> dict:
+        """vec reduced against the echelon: empty exactly when in the span."""
+        v = vec
         for p, e, lead in self._echelon:
-            x = v[p]
-            if not x:
-                continue
-            if lead is not None:
-                v = [lead * a if a else a for a in v]
-            for r, b in enumerate(e):
-                if b:
-                    term = x * b
-                    v[r] = v[r] - term if v[r] else -term
+            x = v.get(p)
+            if x is not None:
+                if lead is not None:
+                    v = {k: lead * a for k, a in v.items()}
+                v = sub_multiple(v, x, e)
         return v
 
-    def add(self, col: List[FieldElement]) -> bool:
+    def add(self, col: dict) -> bool:
         """Keep one more column when it adds a pivot; True when it does."""
         if self.full:
             return False
         v = self._reduce(col)
-        pivot = next((r for r, x in enumerate(v) if x), None)
-        if pivot is None:
+        if not v:
             return False
+        pivot = min(v)
         lead = v[pivot]
         self._kept.append(col)
         self._echelon.append((pivot, v, None if lead == self.field.one() else lead))
         return True
 
-    def in_span(self, vec: List[FieldElement]) -> bool:
+    def in_span(self, vec: dict) -> bool:
         """Whether vec is a combination of the columns added so far."""
-        return self.full or not any(self._reduce(vec))
+        return self.full or not self._reduce(vec)
 
-    def solve(self, rhs: List[FieldElement]) -> Optional[List[FieldElement]]:
+    def solve(self, rhs: dict) -> Optional[List[FieldElement]]:
         """Coefficients on the kept columns of the unique solution, or None."""
         if not self.in_span(rhs):
             return None
         # [K_P | rhs_P] to unit upper triangular form (the diagonal is read,
         # not rewritten), then back-substitution in the last column.
-        rows = [[col[p] for col in self._kept] + [rhs[p]] for p, _, _ in self._echelon]
+        zero = self.field.zero()
+        rows = [[col.get(p, zero) for col in self._kept] + [rhs.get(p, zero)]
+                for p, _, _ in self._echelon]
         for j, top in enumerate(rows):
             if top[j] != self.field.one():
                 inv = top[j].inv()

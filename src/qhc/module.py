@@ -23,9 +23,9 @@ cover coordinates (branch, slot, t-exponent), the same keys that index a
 degree piece and that a ModuleSpec lists, so sums, scalings, the action
 of a branch image (one term (c, e) or None per branch, as the curve's
 monomial_terms and normalization_image return it), the span columns of a
-piece, the coordinates of a membership question and the column reduction
-of the canonical embedding are coefficient operations with no polynomial
-built.
+piece, a membership question and the column reduction of the canonical
+embedding (linalg.sub_multiple) are coefficient operations with no
+polynomial built.
 """
 
 from __future__ import annotations
@@ -61,20 +61,6 @@ def _of(field, coeffs: Dict[Tuple[int, int, int], FieldElement]) -> "ModuleEleme
     v.field = field
     v.coeffs = coeffs
     return v
-
-
-def _sub_multiple(
-    col: Dict[int, FieldElement], c: FieldElement, pivot: Dict[int, FieldElement]
-) -> Dict[int, FieldElement]:
-    """col - c*pivot on {slot: coefficient} maps, keeping no zero."""
-    out = dict(col)
-    for j, b in pivot.items():
-        s = out[j] - c * b if j in out else -(c * b)
-        if s:
-            out[j] = s
-        else:
-            del out[j]
-    return out
 
 
 class ModuleElement:
@@ -194,10 +180,9 @@ class GradedSubmodule:
         self.curve = curve
         self.cover = cover
         self.generators = list(generators)
-        # Per degree w: the position of each cover coordinate (branch, slot,
-        # exponent) of degree w, the span columns chosen as a basis of M_w,
-        # and the elimination of their coordinate vectors.
-        self._pieces: Dict[int, Tuple[dict, list, linalg.Elimination]] = {}
+        # Per degree w: the span columns chosen as a basis of M_w and the
+        # elimination of their coefficient maps.
+        self._pieces: Dict[int, Tuple[list, linalg.Elimination]] = {}
         self.weights = []
         for g in self.generators:
             w = element_degree(curve, cover, g)
@@ -219,22 +204,15 @@ class GradedSubmodule:
                     slots.append((i, j, delta // d_i))
         return slots
 
-    def _coords(
-        self, v: ModuleElement, index: Dict[Tuple[int, int, int], int]
-    ) -> List[FieldElement]:
-        """Coordinates of a degree-w element in the slots indexed by index."""
-        vec = [self.curve.field.zero()] * len(index)
-        for key, c in v.coeffs.items():
-            pos = index.get(key)
-            if pos is None:
-                raise ConsistencyError("element leaves the degree piece")
-            vec[pos] = c
-        return vec
-
-    def _piece(self, w: int) -> Tuple[dict, list, linalg.Elimination]:
+    def _piece(self, w: int) -> Tuple[list, linalg.Elimination]:
         """The degree-w piece, eliminated once and kept for the module's life:
         the greedy basis of the span columns m_l.act(n(x^a y^b)), tagged
         (l, (a, b), element).
+
+        The elimination reads each column and each question as the
+        element's own coefficient map: a key (i, j, e) of degree w has
+        f_ij + e*d_i = w, so (i, j) fixes e and the least key, the pivot,
+        is the first in _degree_slots order.
 
         Only the standard monomials of (f) are fed: with x^n y^k the term
         of f of largest x-exponent (curve.lead_exponent), those with a < n
@@ -249,24 +227,23 @@ class GradedSubmodule:
         if piece is None:
             curve = self.curve
             n, k = curve.lead_exponent
-            index = {s: pos for pos, s in enumerate(self._degree_slots(w))}
-            elimination = linalg.Elimination(len(index), curve.field)
+            elimination = linalg.Elimination(len(self._degree_slots(w)), curve.field)
             basis = []
             for l, (gen, wl) in enumerate(zip(self.generators, self.weights)):
                 for a, b in standard_monomials(curve.wx, curve.wy, w - wl, n, k):
                     elem = gen.act(curve.monomial_terms(a, b))
-                    if elem.coeffs and elimination.add(self._coords(elem, index)):
+                    if elimination.add(elem.coeffs):
                         basis.append((l, (a, b), elem))
                         if elimination.full:
                             break
                 if elimination.full:
                     break
-            piece = self._pieces[w] = (index, basis, elimination)
+            piece = self._pieces[w] = (basis, elimination)
         return piece
 
     def graded_piece(self, w: int) -> List[ModuleElement]:
         """A basis of M_w (subset of the canonical generating family)."""
-        return [elem for _, _, elem in self._piece(w)[1]]
+        return [elem for _, _, elem in self._piece(w)[0]]
 
     def piece_basis(self, w: int) -> List[ModuleElement]:
         """A basis of M_w of graded_piece's size: the cover piece's unit
@@ -289,8 +266,7 @@ class GradedSubmodule:
         kappa = self.conductor
         if kappa is not None and all(e >= kappa[i] for i, _, e in v.coeffs):
             return True
-        index, _, elimination = self._piece(w)
-        return elimination.in_span(self._coords(v, index))
+        return self._piece(w)[1].in_span(v.coeffs)
 
     def contains(self, v: ModuleElement) -> Optional[Witness]:
         """Membership of a homogeneous element, with an explicit witness.
@@ -301,8 +277,8 @@ class GradedSubmodule:
         """
         if not v:
             return []
-        index, basis, elimination = self._piece(element_degree(self.curve, self.cover, v))
-        coeffs = elimination.solve(self._coords(v, index))
+        basis, elimination = self._piece(element_degree(self.curve, self.cover, v))
+        coeffs = elimination.solve(v.coeffs)
         if coeffs is None:
             return None
         return [(l, ab, c) for (l, ab, _), c in zip(basis, coeffs) if c]
@@ -350,7 +326,7 @@ class GradedSubmodule:
                     if row in col:
                         if w < pw:
                             raise ConsistencyError("pivot was not minimal")
-                        col = _sub_multiple(col, col[row], pivot)
+                        col = linalg.sub_multiple(col, col[row], pivot)
                     if col:
                         remaining.append((w, col))
                 work = remaining
@@ -368,7 +344,7 @@ class GradedSubmodule:
                     if w < pw:
                         raise ConsistencyError("projection not in branch module")
                     q = p[row]
-                    p = _sub_multiple(p, q, col)
+                    p = linalg.sub_multiple(p, q, col)
                     coeffs[(i, new_j, (w - pw) // d_i)] = q
                 if p:
                     raise ConsistencyError("projection not reduced to zero")

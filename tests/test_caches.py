@@ -191,13 +191,12 @@ def test_graded_piece_is_the_greedy_independent_subset(label):
 def _reference_piece_basis(M, w):
     """The basis of M_w as built from UniPoly images: the columns
     reference_act(gen, monomial_image(a, b)) fed in order to a fresh Elimination."""
-    index = {s: pos for pos, s in enumerate(M._degree_slots(w))}
-    elimination = linalg.Elimination(len(index), M.curve.field)
+    elimination = linalg.Elimination(len(M._degree_slots(w)), M.curve.field)
     basis = []
     for l, (gen, wl) in enumerate(zip(M.generators, M.weights)):
         for a, b in monomials_of_weight(M.curve.wx, M.curve.wy, w - wl):
             elem = reference_act(gen, M.curve.monomial_image(a, b))
-            if elem and elimination.add(M._coords(elem, index)):
+            if elimination.add(elem.coeffs):
                 basis.append((l, (a, b), elem))
     return basis
 
@@ -218,7 +217,7 @@ def _basis_mismatches(label):
         (name, w)
         for name, M in modules
         for w in range(M.min_shift(), default_degree_bound(curve, M) + lam + 1)
-        if M._piece(w)[1] != _reference_piece_basis(M, w)
+        if M._piece(w)[0] != _reference_piece_basis(M, w)
     ]
 
 

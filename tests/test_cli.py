@@ -132,6 +132,25 @@ def test_cli_module_check_and_connect(tmp_path, capsys):
     assert report["verified"]["leibniz"] > 0
 
 
+def test_cli_connect_below_the_module_degrees_reports(tmp_path, capsys):
+    cpath = _write(tmp_path, "cusp.json", io.curve_to_json(cusp_curve()))
+    spec = {
+        "cover": [{"branch": 1, "shifts": [10]}],
+        "generators": [
+            [{"branch": 1, "index": 1, "coeff": "1", "exp": 0}],
+            [{"branch": 1, "index": 1, "coeff": "1", "exp": 1}],
+        ],
+    }
+    mpath = _write(tmp_path, "module.json", spec)
+    argv = ["module", "--curve", cpath, "--module", mpath, "connect"]
+    assert main(argv + ["--max-degree", "5", "--samples", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    assert report["path"] == "C2-path"
+    assert report["verified"] == {"leibniz": 0, "graded": 0, "integrable": 0}
+
+
 def test_cli_connect_failure_exit_code(tmp_path, capsys):
     curve = cusp_curve()
     cpath = _write(tmp_path, "cusp.json", io.curve_to_json(curve))
@@ -434,6 +453,49 @@ def test_cli_rejects_a_min_poly_with_a_repeated_root(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "input error: min_poly must be square-free\n"
+
+
+def test_cli_rejects_a_min_poly_with_a_rational_root(tmp_path, capsys):
+    # x^2 - 1 = (a - 1)(a + 1) makes Q[a]/(min_poly) a ring with zero
+    # divisors, not a field; the curve and its branches are otherwise valid.
+    spec = {
+        "field": {"min_poly": ["-1", "0", "1"]},
+        "weights": [1, 1],
+        "f": [{"coeff": ["1", "0"], "x": 2, "y": 0}, {"coeff": ["-1", "0"], "x": 0, "y": 2}],
+        "branches": [
+            {"kind": "binomial", "a": ["0", "1"], "b": ["0", "-1"]},
+            {"kind": "binomial", "a": ["0", "-1"], "b": ["0", "1"]},
+        ],
+    }
+    path = _write(tmp_path, "curve.json", spec)
+    assert main(["curve", "--in", path, "info"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: min_poly has the rational root -1/1, so it is reducible\n"
+
+
+@pytest.mark.parametrize(
+    "min_poly, root",
+    [
+        (["-1", "0", "1"], "-1/1"),  # (x - 1)(x + 1)
+        (["-2", "1", "-2", "1"], "2/1"),  # (x - 2)(x^2 + 1)
+        (["1", "0", "1"], None),  # x^2 + 1
+        (["1", "0", "0", "0", "1"], None),  # x^4 + 1
+        (["1", "0", "-1", "0", "1"], None),  # x^4 - x^2 + 1
+        (["-2", "0", "1"], None),  # x^2 - 2
+        (["-1/2", "0", "1"], None),  # x^2 - 1/2
+    ],
+)
+def test_min_poly_with_a_rational_root_is_rejected(min_poly, root):
+    d = len(min_poly) - 1
+    one = ["1"] + ["0"] * (d - 1)
+    spec = {"field": {"min_poly": min_poly}, "weights": [1, 1],
+            "f": [{"coeff": one, "x": 1, "y": 1}]}
+    if root is None:
+        assert io.curve_from_json(spec).field.degree == d
+    else:
+        with pytest.raises(InputError, match="min_poly has the rational root %s," % root):
+            io.curve_from_json(spec)
 
 
 def test_cli_derivations_reject_a_smooth_curve(tmp_path, capsys):

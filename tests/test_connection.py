@@ -158,6 +158,19 @@ def test_verify_properties_counts_and_exactness():
             verify_properties(curve, report, **bounds)
 
 
+def test_verify_properties_below_the_module_degrees_checks_nothing():
+    # Generators t^0 e_1 and t^1 e_1 on the shift 10 of the cusp: every
+    # degree is at least 10, so a bound of 5 leaves no degree to draw from.
+    curve = cusp_curve()
+    one = curve.field.one()
+    gens = [ModuleElement(curve.field, {(0, 0, e): one}) for e in (0, 1)]
+    report = natural_connection(curve, GradedSubmodule(curve, FreeCover(((10,),)), gens))
+    assert report.path == "C2-path"
+    assert connection._random_module_element(random.Random(0), report.module, 5) is None
+    counts = verify_properties(curve, report, degree_bound=5, samples=3)
+    assert counts == {"leibniz": 0, "graded": 0, "integrable": 0}
+
+
 def test_verify_properties_is_seed_reproducible():
     curve = y_family_curve(3, 2)
     report = natural_connection(curve, case1_module(curve, 1))

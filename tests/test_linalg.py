@@ -11,6 +11,7 @@ from qhc.field import QQ, NumberField
 
 Q_I = NumberField((1, 0, 1))  # Q[a]/(a^2 + 1)
 Q_ZETA8 = NumberField((1, 0, 0, 0, 1))  # Q[a]/(a^4 + 1)
+Q_ZETA12 = NumberField((1, 0, -1, 0, 1))  # Q[a]/(a^4 - a^2 + 1)
 
 
 def _m(rows):
@@ -19,6 +20,11 @@ def _m(rows):
 
 def _v(vals):
     return [QQ.from_rational(Fraction(v)) for v in vals]
+
+
+def _sparse(vec):
+    """A dense vector as the map {position: nonzero entry} Elimination takes."""
+    return {r: x for r, x in enumerate(vec) if x}
 
 
 def test_identity_system():
@@ -157,15 +163,15 @@ def test_in_span_agrees_with_solve(field):
         # Solve before the first add and after every add, so
         # back-substitution runs at every rank.
         for n in range(len(cols) + 1):
-            if n and elimination.add(cols[n - 1]):
+            if n and elimination.add(_sparse(cols[n - 1])):
                 kept.append(n - 1)
             matrix = [[c[r] for c in cols[:n]] for r in range(nrows)]
             member = combination([draw() for _ in range(n)], cols[:n], nrows)
             for rhs in ([draw() for _ in range(nrows)], member):
                 expected = linalg.solve(matrix, rhs, field)
                 assert expected == reference_solve(matrix, rhs, field)[0]
-                coeffs = elimination.solve(rhs)
-                assert elimination.in_span(rhs) is (coeffs is not None)
+                coeffs = elimination.solve(_sparse(rhs))
+                assert elimination.in_span(_sparse(rhs)) is (coeffs is not None)
                 if coeffs is None:
                     assert rhs is not member and expected is None
                     continue
@@ -181,12 +187,67 @@ def test_solve_when_the_pivot_rows_are_out_of_order():
     # not in row order.
     cols = [_v([2, 2, 2, 0]), _v([1, 1, 0, 0]), _v([0, 3, 0, 0])]
     elimination = linalg.Elimination(4, QQ)
-    assert all(elimination.add(c) for c in cols)
+    assert all(elimination.add(_sparse(c)) for c in cols)
     assert [p for p, _, _ in elimination._echelon] == [0, 2, 1]
     coeffs = _v([Fraction(1, 2), -3, 5])
     rhs = [sum((c * col[r] for c, col in zip(coeffs, cols)), QQ.zero()) for r in range(4)]
     assert rhs == _v([-2, 13, 1, 0])
-    assert elimination.solve(rhs) == coeffs
-    assert elimination.solve(_v([0, 0, 0, 1])) is None
+    assert elimination.solve(_sparse(rhs)) == coeffs
+    assert elimination.solve(_sparse(_v([0, 0, 0, 1]))) is None
     matrix = [[col[r] for col in cols] for r in range(4)]
     assert linalg.solve(matrix, rhs, QQ) == coeffs
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, Q_I, Q_ZETA8, Q_ZETA12], ids=["Q", "Qi", "Qzeta8", "Qzeta12"]
+)
+def test_sparse_maps_keyed_by_tuples_match_the_dense_references(field):
+    """Columns given as maps on tuple keys, inserted out of key order, keep
+    the columns and solve as the dense references do on the vectors listed
+    in key order, and the maps given are left as they were."""
+    rng = random.Random(41)
+    entries = [0, 0, 0, 1, -1, 2, -3]
+
+    def draw():
+        return field.element([rng.choice(entries) for _ in range(field.degree)])
+
+    def as_map(vec, keys):
+        order = list(range(len(keys)))
+        rng.shuffle(order)
+        return {keys[r]: vec[r] for r in order if vec[r]}
+
+    ranks = set()
+    for _ in range(200):
+        nrows, ncols = rng.randint(0, 5), rng.randint(0, 7)
+        keys = sorted(rng.sample([(i, j, rng.randint(0, 9)) for i in range(3) for j in range(3)], nrows))
+        cols = [[draw() for _ in range(nrows)] for _ in range(ncols)]
+        if ncols > 1 and rng.random() < 0.5:
+            c = draw()
+            cols.append([c * a + b for a, b in zip(cols[0], cols[1])])
+        maps = [as_map(col, keys) for col in cols]
+        snapshot = [dict(m) for m in maps]
+        elimination = linalg.Elimination(nrows, field)
+        kept = [k for k, m in enumerate(maps) if elimination.add(m)]
+        assert kept == reference_independent_subset(cols, field)
+        # The pivot of each reduced vector is its least key.
+        assert all(p == min(e) for p, e, _ in elimination._echelon)
+        matrix = [[col[r] for col in cols] for r in range(nrows)]
+        member = [field.zero()] * nrows
+        for col in cols:
+            c = draw()
+            member = [m + c * x for m, x in zip(member, col)]
+        for rhs in ([draw() for _ in range(nrows)], member):
+            rhs_map = as_map(rhs, keys)
+            rhs_snapshot = dict(rhs_map)
+            expected = reference_solve(matrix, rhs, field)[0]
+            coeffs = elimination.solve(rhs_map)
+            assert elimination.in_span(rhs_map) is (coeffs is not None)
+            assert (coeffs is None) is (expected is None)
+            if coeffs is not None:
+                assert coeffs == [expected[k] for k in kept]
+                assert [sum((c * cols[k][r] for c, k in zip(coeffs, kept)), field.zero())
+                        for r in range(nrows)] == rhs
+            assert rhs_map == rhs_snapshot
+        assert maps == snapshot
+        ranks.add((elimination.rank < nrows, elimination.rank < len(cols)))
+    assert ranks == {(False, False), (False, True), (True, False), (True, True)}
