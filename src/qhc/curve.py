@@ -181,6 +181,44 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
     return sorted(roots, key=lambda t: (t[0].numerator, t[0].denominator))
 
 
+def find_rational_root(coeffs: Sequence[Fraction]) -> Optional[Fraction]:
+    """A rational root of a square-free polynomial, or None, in time polynomial
+    in its degree and digits (rational_roots lists divisors instead).
+
+    On integer coefficients c_i a root a/b has a | c_0 and b | c_s, so
+    y = c_s*a/b is an integer with |y| <= |c_0*c_s|.  Every root mod the
+    least prime p not dividing c_s at which all roots are simple (one exists,
+    as the polynomial is square-free) is lifted by Newton's step mod p^(2^k)
+    past 2|c_0*c_s|, where c_s times it leaves y as its symmetric residue.
+    """
+    den = math.lcm(*(as_fraction(c).denominator for c in coeffs))
+    f = [int(as_fraction(c) * den) for c in coeffs]
+    df = [k * c for k, c in enumerate(f)][1:]
+
+    def at(cs, x, m):
+        acc = 0
+        for c in reversed(cs):
+            acc = (acc * x + c) % m
+        return acc
+
+    p = 1
+    while True:
+        p += 1
+        if f[-1] % p and all(p % k for k in range(2, math.isqrt(p) + 1)):
+            roots = [r for r in range(p) if not at(f, r, p)]
+            if all(at(df, r, p) for r in roots):
+                break
+    for r in roots:
+        m = p
+        while m <= 2 * abs(f[0] * f[-1]):
+            m *= m
+            r = (r - at(f, r, m) * pow(at(df, r, m), -1, m)) % m
+        y = (f[-1] * r + m // 2) % m - m // 2
+        if not sum(c * y ** i * f[-1] ** (len(f) - 1 - i) for i, c in enumerate(f)):
+            return Fraction(y, f[-1])
+    return None
+
+
 def _deflate(cs: List[Fraction], r: Fraction) -> List[Fraction]:
     """Synthetic division of low-first coefficients by (x - r), exact by assumption."""
     out = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional
 
-from .curve import BranchKind, QuasiCurve, infer_weights, rational_roots
+from .curve import BranchKind, QuasiCurve, find_rational_root, infer_weights
 from .errors import InputError
 from .field import FieldElement, NumberField, as_fraction, element_from_json, fraction_str
 from .module import FreeCover, GradedSubmodule, ModuleElement, Witness
@@ -77,10 +77,10 @@ def curve_from_json(data: Dict[str, Any]) -> QuasiCurve:
                 % (d - 1, MIN_POLY_SCALE_DIGIT_BUDGET)
             )
         field = NumberField(coeffs)
-        roots = rational_roots(coeffs) if d > 1 else []
-        if roots:
+        root = find_rational_root(coeffs) if d > 1 else None
+        if root is not None:
             raise InputError("min_poly has the rational root %s, so it is reducible"
-                             % fraction_str(roots[0][0]))
+                             % fraction_str(root))
         terms = {}
         for term in data["f"]:
             coeff = element_from_json(field, term["coeff"])

@@ -17,6 +17,7 @@ from qhc.curve import (
     _solve_b,
     branch_conductor,
     factor,
+    find_rational_root,
     infer_weights,
     rational_roots,
 )
@@ -374,6 +375,46 @@ def test_rational_roots_agrees_with_full_scan(rng):
         read_off += found == len(poly) - 1 > 0
     assert min(caught) > 0, caught
     assert read_off and repeated and irreducible
+
+
+def _mutant_find_rational_root(old, new):
+    """find_rational_root with one line of its source replaced."""
+    source = inspect.getsource(curve_module.find_rational_root)
+    assert source.count(old) == 1
+    namespace = dict(vars(curve_module))
+    exec(source.replace(old, new), namespace)
+    return namespace["find_rational_root"]
+
+
+def test_find_rational_root_agrees_with_full_scan(rng):
+    # Square-free polynomials only: the lifting needs simple roots mod p.
+    polys = [poly for poly in random_root_polys(rng, 500)
+             if len(poly) > 1 and all(m == 1 for _, m in _reference_rational_roots(poly))]
+    # A 4-digit root times a factor with no rational root: the lifting has
+    # to pass 2|c_0*c_s| to read it.
+    for _ in range(50):
+        root = Fraction(rng.randint(-9999, 9999), rng.randint(1, 9999))
+        other = rng.choice(_IRREDUCIBLE)
+        polys.append(_poly_mul([Fraction(c) for c in other], [-root, Fraction(1)]))
+    mutants = [
+        _mutant_find_rational_root("while m <= 2 * abs(f[0] * f[-1]):", "while m <= abs(f[0]):"),
+        _mutant_find_rational_root("if all(at(df, r, p) for r in roots):", "if True:"),
+    ]
+    caught = [0] * len(mutants)
+    found = 0
+    for poly in polys:
+        roots = [r for r, _ in _reference_rational_roots(poly)]
+        r = find_rational_root(poly)
+        assert (r is None) == (not roots), poly
+        assert r is None or r in roots, poly
+        found += r is not None
+        for k, mutant in enumerate(mutants):
+            try:
+                caught[k] += mutant(poly) != r
+            except ValueError:  # a root mod p that is not simple has no inverse
+                caught[k] += 1
+    assert 0 < found < len(polys)
+    assert min(caught) > 0, caught
 
 
 def test_factor_errors_agree_with_full_scan(rng, monkeypatch):
