@@ -6,9 +6,9 @@ Subcommands:
   qhc catalog --label A --index 2 {list|info|fixtures}
   qhc selftest
 
-Exit codes: 0 success (and --help), 1 input error (a usage error too),
-2 internal-consistency failure, 3 no natural connection found (the report
-is still emitted).
+Exit codes: 0 success (and --help), 1 input error (a usage error too,
+and a reader that closed stdout early), 2 internal-consistency failure,
+3 no natural connection found (the report is still emitted).
 
 The argument parser is built on the first main() call and kept for the
 process (build_parser is cached); each call parses into a fresh
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -334,7 +335,18 @@ def main(argv=None) -> int:
             raise InputError("--samples must be nonnegative")
         if samples > io.SAMPLES_BUDGET:
             raise InputError("--samples %d is above the budget %d" % (samples, io.SAMPLES_BUDGET))
-        return args.func(args)
+        code = args.func(args)
+        # Written out here, so that a reader that closed the pipe is seen
+        # below and not in the flush at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nothing more reaches the reader.  The buffered rest goes to
+        # os.devnull, so the flush at exit prints no traceback either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 1

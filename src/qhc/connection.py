@@ -4,7 +4,8 @@ nabla_E scales each coefficient by the degree of its key and nabla_D is
 q * nabla_E, with q from the Koszul/Euler comparison: each is one pass
 over the element's keys, with no split into homogeneous components.
 natural_connection decides which sufficient condition applies ((C1)+(C2),
-(C1)+(C3) after a shift, or a direct stability check) and
+(C1)+(C3) after a shift, or a direct stability check, each decided by
+yes/no membership; a report solves its witnesses when they are read) and
 verify_properties re-checks the Leibniz rule, gradedness and the
 commutator identity by exact sampling, on a basis of each degree piece
 that is the cover's unit vectors, with no elimination, wherever every key
@@ -67,27 +68,23 @@ def apply_nabla_D(
     return _of(fld, out)
 
 
-def check_stability(
-    M: GradedSubmodule, q: tuple
-) -> Tuple[bool, List[Tuple[ModuleElement, Optional[Witness]]]]:
-    """nabla_D(m_l) in M for every generator.
+def check_stability(M: GradedSubmodule, q: tuple) -> Tuple[bool, List[ModuleElement]]:
+    """Whether nabla_D(m_l) is in M for every generator, decided by
+    is_member with no witness solved, and the images nabla_D(m_l).
 
     Generator sufficiency follows from the Leibniz identity
     nabla_D(a m) = a nabla_D(m) + D(a) m with D(a) in A.
     """
-    results = []
-    stable = True
-    for gen in M.generators:
-        image = apply_nabla_D(M.curve, M.cover, gen, q)
-        witness = M.contains(image)
-        if witness is None:
-            stable = False
-        results.append((image, witness))
-    return stable, results
+    images = [apply_nabla_D(M.curve, M.cover, gen, q) for gen in M.generators]
+    return all(M.is_member(img) for img in images), images
 
 
 @dataclass
 class ConnectionReport:
+    """The outcome of natural_connection.  The witnesses of the nabla_D
+    images are solved against module on the first read of witnesses and
+    kept; a caller that never reads them solves no system."""
+
     path: str  # "C2-path" | "C3-shift-path" | "direct-stability" | "none"
     lam: Optional[int]
     c1: Dict[Tuple[int, int], bool]
@@ -95,12 +92,21 @@ class ConnectionReport:
     c3: Tuple[bool, Optional[int]]
     module: GradedSubmodule  # canonically embedded (and shifted on the C3 path)
     images: List[ModuleElement] = dc_field(default_factory=list)
-    witnesses: List[Optional[Witness]] = dc_field(default_factory=list)
     verification: Dict[str, int] = dc_field(default_factory=dict)
+    _witnesses: Optional[List[Optional[Witness]]] = dc_field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def succeeded(self) -> bool:
         return self.path != "none"
+
+    @property
+    def witnesses(self) -> List[Optional[Witness]]:
+        """module.contains(img) for each image, None where it is no member."""
+        if self._witnesses is None:
+            self._witnesses = [self.module.contains(img) for img in self.images]
+        return self._witnesses
 
 
 def natural_connection(curve: QuasiCurve, M: GradedSubmodule) -> ConnectionReport:
@@ -124,22 +130,14 @@ def natural_connection(curve: QuasiCurve, M: GradedSubmodule) -> ConnectionRepor
         path, target = "C3-shift-path", Mc.shifted(-lam)
     else:
         path, lam, target = "direct-stability", None, Mc
-    stable, results = check_stability(target, q)
+    stable, images = check_stability(target, q)
     if not stable:
         if path in ("C2-path", "C3-shift-path"):
             raise ConsistencyError("sufficient condition held but stability failed")
         path = "none"
-    report = ConnectionReport(
-        path=path,
-        lam=lam,
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        module=target if stable else Mc,
-        images=[img for img, _ in results],
-        witnesses=[wit for _, wit in results],
+    return ConnectionReport(
+        path=path, lam=lam, c1=c1, c2=c2, c3=c3, module=target, images=images
     )
-    return report
 
 
 def default_degree_bound(curve: QuasiCurve, M: GradedSubmodule) -> int:

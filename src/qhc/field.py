@@ -22,9 +22,11 @@ RationalLike = Union[int, Fraction, str]
 
 
 def as_fraction(v: RationalLike) -> Fraction:
+    """v as a Fraction; a bool (an int to Python, not a number in JSON) and
+    a float are errors."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, str):
         try:

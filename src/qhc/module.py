@@ -9,7 +9,9 @@ membership question of the package, including membership in the image
 of A (coordinate_ring), is answered from one kept elimination per degree
 piece: GradedSubmodule.is_member says yes or no (at once on a piece of
 full rank), and GradedSubmodule.contains also returns the witness, which
-only the stability check of the connection and image_membership ask for.
+only image_membership and the first read of a connection report's
+witnesses ask for.  (C1) reads the branch projections of M's own pieces,
+and a shifted module starts with the pieces of the module it shifts.
 A module built by canonical_embedding (or shifted from one) also knows
 the conductor bound, the exponents kappa_i of QuasiCurve.conductors:
 A-bar*M is the whole cover there, so the conductor of A times the cover
@@ -163,8 +165,8 @@ class GradedSubmodule:
 
     Each degree piece M_w is built and eliminated once, on first use, and
     kept as long as the module, so the generators must not change after
-    construction; shifted() and canonical_embedding() return new modules
-    that start empty.
+    construction; canonical_embedding() returns a new module that starts
+    empty, and shifted() one that starts with the pieces built so far.
 
     ``conductor`` (curve.conductors, the exponent kappa_i of the conductor
     of A on each branch) is set on a module that canonical_embedding
@@ -381,27 +383,25 @@ class GradedSubmodule:
     def check_C1(self) -> Dict[Tuple[int, int], bool]:
         """(C1) as existence: some u in M_{f_ij} projects to exactly e_ij.
 
-        The branch-i projection of M is the submodule of the cover with the
-        other branches emptied, generated by the branch-i parts of the
-        generators; (C1) at (i, j) is membership of e_ij in it.
+        The branch-i projection is a graded map, so the degree-w piece of
+        the branch-i projection of M is the projection of M_w: (C1) at
+        (i, j) asks whether e_ij is in the span of the branch-i parts of
+        M's own basis of M_{f_ij} (piece_basis), eliminated once per branch
+        and degree on the at most s_i branch-i keys of that degree.
         """
+        field = self.curve.field
         out = {}
-        for i, branch_shifts in enumerate(self.cover.shifts):
-            projection = self.projection(i)
-            for j in range(len(branch_shifts)):
-                out[(i, j)] = projection.is_member(basis_element(self.curve, i, j))
+        spans: Dict[Tuple[int, int], linalg.Elimination] = {}
+        for i, j in self.cover.slots():
+            w = self.cover.shifts[i][j]
+            span = spans.get((i, w))
+            if span is None:
+                keys = [key for key in self._degree_slots(w) if key[0] == i]
+                span = spans[(i, w)] = linalg.Elimination(len(keys), field)
+                for u in self.piece_basis(w):
+                    span.add({key: c for key, c in u.coeffs.items() if key[0] == i})
+            out[(i, j)] = span.in_span({(i, j, 0): field.one()})
         return out
-
-    def projection(self, i: int) -> "GradedSubmodule":
-        """The branch-i projection of M, on the cover with the other branches emptied."""
-        cover = FreeCover(tuple(
-            s if k == i else () for k, s in enumerate(self.cover.shifts)
-        ))
-        parts = [
-            _of(self.curve.field, {k: c for k, c in g.coeffs.items() if k[0] == i})
-            for g in self.generators
-        ]
-        return GradedSubmodule(self.curve, cover, [g for g in parts if g])
 
     def check_C2(self) -> Dict[Tuple[int, int], bool]:
         """(C2): t_i^{g_i} e_ij in M for every cover slot, g_i = kappa_i - 1
@@ -427,9 +427,13 @@ class GradedSubmodule:
 
     def shifted(self, lam: int) -> "GradedSubmodule":
         """M(lam): all shifts and weights translated by lam; the keys, and so
-        the conductor bound, stay."""
+        the conductor bound and every piece, stay.  M(lam) starts with the
+        pieces M has built, re-keyed to w + lam in a dict of its own: a
+        piece is not changed once built, so the two modules share it, and a
+        piece that either builds later stays its own."""
         M = GradedSubmodule(self.curve, self.cover.shifted(lam), self.generators)
         M.conductor = self.conductor
+        M._pieces = {w + lam: piece for w, piece in self._pieces.items()}
         return M
 
     def min_shift(self) -> int:

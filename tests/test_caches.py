@@ -25,7 +25,7 @@ from qhc.semigroup import gamma_oracle
 
 from conftest import poly_of
 from test_linalg import reference_independent_subset, reference_solve
-from test_module import entries_of
+from test_module import branch_projection_module, entries_of
 from test_terms import reference_act, reference_image
 
 # Every ADE entry (over Q, Q(i), Q(zeta8), Q(zeta12)) and Y entries, whose
@@ -211,7 +211,9 @@ def _basis_mismatches(label):
     modules = []
     for name, M in _fixture_modules(label):
         modules.append((name, M))
-        modules += [("%s/projection_%d" % (name, i), M.projection(i)) for i in range(curve.r)]
+        modules += [
+            ("%s/projection_%d" % (name, i), branch_projection_module(M, i)) for i in range(curve.r)
+        ]
     modules.append(("coordinate_ring", coordinate_ring(curve)))
     return [
         (name, w)
@@ -304,6 +306,35 @@ def test_shifted_module_answers_with_a_fresh_cache():
         assert M.graded_piece(w) == shifted.graded_piece(w + 4)
         for v in _candidates(M, w):
             assert shifted.contains(v) == M.contains(v)
+
+
+@pytest.mark.parametrize("label", FIXTURE_LABELS)
+def test_shifted_pieces_match_a_fresh_module(label):
+    """M(lam) starts with M's pieces, re-keyed to w + lam; every piece it
+    reads up to default_degree_bound + the Koszul weight, inherited or built
+    on it, is a fresh module's, and a piece built on it stays its own."""
+    curve = catalog_get(label).curve()
+    koszul = curve.wf - curve.wx - curve.wy
+    inherited_any = False
+    for name, M in _fixture_modules(label):
+        M.check_C1()
+        M.check_C2()
+        for lam in (3, -2):
+            before = dict(M._pieces)
+            shifted = M.shifted(lam)
+            assert sorted(shifted._pieces) == sorted(w + lam for w in before), (label, name, lam)
+            for w, piece in before.items():
+                assert shifted._pieces[w + lam] is piece
+                inherited_any = True
+            fresh = module.GradedSubmodule(curve, M.cover.shifted(lam), M.generators)
+            for w in range(shifted.min_shift(), default_degree_bound(curve, shifted) + koszul + 1):
+                basis, elimination = shifted._piece(w)
+                expected, reference = fresh._piece(w)
+                assert basis == expected, (label, name, lam, w)
+                assert elimination.rank == reference.rank, (label, name, lam, w)
+            assert M._pieces.keys() == before.keys(), (label, name, lam)
+            assert all(M._pieces[w] is piece for w, piece in before.items())
+    assert inherited_any, label
 
 
 def test_reimporting_the_package_keeps_no_old_copy_alive():

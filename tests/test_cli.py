@@ -788,3 +788,60 @@ def test_every_catalog_field_loads_within_the_budgets(label):
     curve = catalog_get(label).curve()
     again = io.curve_from_json(io.curve_to_json(curve))
     assert again.field == curve.field and again.branches == curve.branches
+
+
+@pytest.mark.parametrize(
+    "argv", [["catalog", "list"], ["catalog", "--label", "A_2", "fixtures"]], ids=["list", "fixtures"]
+)
+def test_cli_exits_1_without_a_traceback_when_stdout_is_closed(argv):
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails, as under `qhc ... | head` once head has exited.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "qhc.cli"] + argv,
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "label, kind, path, argv",
+    [
+        ("Y_3_2", "curve", ("f", 1, "coeff", 0), ["branches"]),
+        ("Y_3_2", "curve", ("f", 1, "coeff"), ["branches"]),
+        ("D_4", "curve", ("field", "min_poly", 2), ["info"]),
+        ("Y_3_2", "module", ("generators", 0, 0, "coeff", 0), ["check"]),
+        ("Y_3_2", "module", ("generators", 0, 0, "coeff"), ["check"]),
+    ],
+    ids=["f-coeff", "f-bare-coeff", "min-poly", "generator-coeff", "generator-bare-coeff"],
+)
+def test_cli_rejects_a_boolean_coefficient(tmp_path, capsys, label, kind, path, argv):
+    # JSON true is a bool, which Python counts as the int 1: it must not
+    # load as the coefficient 1.  Each spec loads with the value it replaces.
+    entry = catalog_get(label)
+    curve = entry.curve()
+    curve_spec = io.curve_to_json(curve)
+    module_spec = io.module_to_json(fixture_modules(entry)[0].module(curve))
+    cpath = _write(tmp_path, "curve.json", curve_spec)
+    mpath = _write(tmp_path, "module.json", module_spec)
+    if kind == "curve":
+        command = ["curve", "--in", cpath]
+    else:
+        command = ["module", "--curve", cpath, "--module", mpath]
+    assert main(command + argv) == 0
+    capsys.readouterr()
+    spec = _with(curve_spec if kind == "curve" else module_spec, path, True)
+    _write(tmp_path, kind + ".json", spec)
+    assert main(command + argv) == 1
+    assert capsys.readouterr().err == "input error: not a rational value: True\n"

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhc import connection, io, semigroup
+from qhc import connection, io, linalg, semigroup
 from qhc.catalog import ADE_LABELS, catalog_get, fixture_modules
 from qhc.connection import (
     apply_nabla_D,
@@ -92,16 +92,62 @@ def test_stability_of_the_fixture_cases():
     curve = y_family_curve(3, 2)
     q = q_element(curve)
     for M in (case1_module(curve, 3), case2_module(curve, 1)):
-        stable, results = check_stability(M.canonical_embedding(), q)
+        Mc = M.canonical_embedding()
+        stable, images = check_stability(Mc, q)
         assert stable
-        assert all(w is not None for _, w in results)
+        assert len(images) == len(Mc.generators)
+        assert all(Mc.contains(img) is not None for img in images)
 
 
 def test_unstable_module_is_detected():
     curve = cusp_curve()
     q = q_element(curve)
-    stable, results = check_stability(unstable_cusp_module(curve), q)
+    M = unstable_cusp_module(curve)
+    stable, images = check_stability(M, q)
     assert not stable
+    assert any(M.contains(img) is None for img in images)
+
+
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_witnesses_are_solved_only_when_read(label, monkeypatch):
+    solves = []
+    solve = linalg.Elimination.solve
+
+    def counting_solve(self, rhs):
+        solves.append(rhs)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(linalg.Elimination, "solve", counting_solve)
+    entry = catalog_get(label)
+    curve = entry.curve()
+    reports = []
+    for fx in fixture_modules(entry):
+        report = natural_connection(curve, fx.module(curve))
+        if report.succeeded:
+            verify_properties(curve, report, samples=5, seed=0)
+        reports.append(report)
+    assert not solves, label
+    for report in reports:
+        M = report.module
+        fresh = GradedSubmodule(curve, M.cover, M.generators)
+        eager = [fresh.contains(img) for img in report.images]
+        witnesses = report.witnesses
+        assert witnesses == eager, label
+        assert report.witnesses is witnesses
+        for img, wit in zip(report.images, witnesses):
+            assert (wit is None) is (not M.is_member(img))
+            if wit is not None:
+                assert M.replay_witness(wit) == img
+    # One solve per nonzero image for the eager list and one for the read.
+    nonzero = sum(1 for report in reports for img in report.images if img)
+    assert len(solves) == 2 * nonzero, label
+
+
+def test_witnesses_cannot_be_set():
+    curve = y_family_curve(3, 2)
+    report = natural_connection(curve, case1_module(curve, 3))
+    with pytest.raises(AttributeError):
+        report.witnesses = []
 
 
 def test_connection_takes_the_c2_path_on_fixture_cases():

@@ -464,9 +464,65 @@ def test_check_C1_matches_the_reference(label):
             assert module.check_C1() == reference_check_C1(module), (label, fx.name)
 
 
+# (C1) as check_C1 once asked it: the branch-i projection of M built as a
+# module of its own, on the cover with the other branches emptied and
+# generated by the branch-i parts of the generators, and e_ij asked there.
+
+
+def branch_projection_module(M, i):
+    cover = FreeCover(tuple(s if k == i else () for k, s in enumerate(M.cover.shifts)))
+    parts = [
+        ModuleElement(M.curve.field, {key: c for key, c in g.coeffs.items() if key[0] == i})
+        for g in M.generators
+    ]
+    return GradedSubmodule(M.curve, cover, [g for g in parts if g])
+
+
+def projection_check_C1(M):
+    out = {}
+    for i, branch_shifts in enumerate(M.cover.shifts):
+        projection = branch_projection_module(M, i)
+        for j in range(len(branch_shifts)):
+            out[(i, j)] = projection.is_member(basis_element(M.curve, i, j))
+    return out
+
+
+def _c1_variants(M):
+    """M, its canonical embedding and two shifts of that; the shifts are
+    taken after (C1) has built the canonical embedding's pieces, so they
+    start with them."""
+    Mc = M.canonical_embedding()
+    yield "module", M
+    yield "canonical", Mc
+    Mc.check_C1()
+    yield "shifted(2)", Mc.shifted(2)
+    yield "shifted(-2)", Mc.shifted(-2)
+
+
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_check_C1_agrees_with_the_projection_module(label):
+    entry = catalog_get(label)
+    curve = entry.curve()
+    for fx in fixture_modules(entry):
+        for name, M in _c1_variants(fx.module(curve)):
+            assert M.check_C1() == projection_check_C1(M), (label, fx.name, name)
+
+
+@pytest.mark.parametrize("label", ["Y_3_2", "Y_5_3", "D_4", "D_6"])
+def test_check_C1_agrees_with_the_projection_module_on_random_modules(label):
+    curve = catalog_get(label).curve()
+    answers = set()
+    for seed in range(40):
+        for name, M in _c1_variants(random_module(random.Random(seed), curve)):
+            c1 = M.check_C1()
+            assert c1 == projection_check_C1(M), (label, seed, name)
+            answers.update(c1.values())
+    assert answers == {True, False}, label
+
+
 def _membership_variants(curve, M):
     """M, its canonical embedding, two shifts, the coordinate ring and the
-    (C1) branch projections of M and of its canonical embedding."""
+    branch projections of M and of its canonical embedding."""
     Mc = M.canonical_embedding()
     yield "module", M
     yield "canonical", Mc
@@ -475,7 +531,7 @@ def _membership_variants(curve, M):
     yield "coordinate_ring", coordinate_ring(curve)
     for name, N in (("module", M), ("canonical", Mc)):
         for i in range(curve.r):
-            yield "%s/projection(%d)" % (name, i), N.projection(i)
+            yield "%s/projection(%d)" % (name, i), branch_projection_module(N, i)
 
 
 def _membership_candidates(M, w, q, lam, rng):
@@ -820,9 +876,6 @@ def test_only_canonical_embeddings_carry_the_bound(label):
         M = fx.module(curve)
         assert M.conductor is None
         assert M.shifted(1).conductor is None
-        Mc = M.canonical_embedding()
-        for i in range(curve.r):
-            assert Mc.projection(i).conductor is None
     for i in range(curve.r):
         gamma = gamma_formula(curve, i)
         bound = gamma.conductor + 10
