@@ -106,7 +106,7 @@ def catalog_get(label: str, index: Optional[Union[int, Tuple[int, int]]] = None)
         parts = label.split("_")
         label = parts[0]
         arity = 2 if label == "Y" else 1
-        if len(parts) != arity + 1 or not all(p.isdigit() for p in parts[1:]):
+        if len(parts) != arity + 1 or not all(p.isascii() and p.isdigit() for p in parts[1:]):
             raise InputError("malformed catalog label %r" % "_".join(parts))
         index = tuple(int(p) for p in parts[1:]) if arity == 2 else int(parts[1])
     if label == "Y":

@@ -8,9 +8,13 @@ natural_connection decides which sufficient condition applies ((C1)+(C2),
 yes/no membership; a report solves its witnesses when they are read) and
 verify_properties re-checks the Leibniz rule, gradedness and the
 commutator identity by exact sampling, on a basis of each degree piece
-that is the cover's unit vectors, with no elimination, wherever every key
-of the cover piece lies in the conductor, whose exponents kappa_i the
-curve holds (QuasiCurve.conductors, GradedSubmodule.piece_basis).
+that is the cover's unit vectors, with no elimination, on a conductor
+piece: every key of the cover piece lies in the conductor, whose
+exponents kappa_i the curve holds (QuasiCurve.conductors,
+GradedSubmodule.conductor_piece).  The checks on a conductor piece read
+no generator, so a piece that passed is recorded on the curve per cover,
+bound, q and operators, and not checked again by a later verify there.
+Each entry point takes the module's own curve or one equal to it.
 """
 
 from __future__ import annotations
@@ -109,13 +113,21 @@ class ConnectionReport:
         return self._witnesses
 
 
+def _check_curve(curve: QuasiCurve, M: GradedSubmodule) -> None:
+    """Raise unless curve is M's curve or equal to it: q, the degree bound
+    and the checks read curve, everything else M.curve."""
+    if curve is not M.curve and curve != M.curve:
+        raise InputError("the curve is not the module's curve")
+
+
 def natural_connection(curve: QuasiCurve, M: GradedSubmodule) -> ConnectionReport:
-    """Decide and construct the natural connection on M.
+    """Decide and construct the natural connection on M, a module over curve.
 
     Pipeline: canonical embedding, then (C1)+(C2) on M itself, else
     (C1)+(C3) on the shifted module, else a direct stability check.
     Failure is a report outcome, never an exception.
     """
+    _check_curve(curve, M)
     Mc = M.canonical_embedding()
     q = q_element(curve)
     c1 = Mc.check_C1()
@@ -142,6 +154,7 @@ def natural_connection(curve: QuasiCurve, M: GradedSubmodule) -> ConnectionRepor
 
 def default_degree_bound(curve: QuasiCurve, M: GradedSubmodule) -> int:
     """Covers every degree touched by nabla_D images and conductor checks."""
+    _check_curve(curve, M)
     lam = curve.wf - curve.wx - curve.wy
     max_cd = max(c * br.t_degree for c, br in zip(curve.conductors, curve.branches))
     return max(M.weights, default=0) + lam + max_cd + 2 * max(curve.wx, curve.wy)
@@ -191,6 +204,26 @@ def _random_module_element(
     return None
 
 
+def _conductor_record(
+    curve: QuasiCurve, M: GradedSubmodule, q: tuple
+) -> Optional[Dict[int, int]]:
+    """The conductor pieces of M's cover that passed the gradedness checks
+    on this curve, each mapped to the number of basis vectors checked on
+    it; None on a module with no conductor bound.
+
+    On a conductor piece the basis is the cover's unit vectors, and every
+    check (nabla_E = w id, the degree and conductor membership of nabla_D,
+    the commutator) reads only the curve, q, the cover, the bound and the
+    two operators, so the record is kept on the curve under all of them,
+    the operators as verify_properties finds them now.
+    """
+    if M.conductor is None:
+        return None
+    records = curve._derived.setdefault("conductor_pieces", {})
+    key = (M.cover, M.conductor, q, apply_nabla_E, apply_nabla_D)
+    return records.setdefault(key, {})
+
+
 def verify_properties(
     curve: QuasiCurve,
     report: ConnectionReport,
@@ -207,12 +240,17 @@ def verify_properties(
     Since nabla_D(w v) = w nd, the identity on v is compared in the form
     nabla_E(nd) = (w + lam) nd.  Any failure raises with the offending
     sample or degree.
+
+    A conductor piece that passed is recorded on the curve
+    (_conductor_record); where an earlier verify on this curve recorded
+    it, its basis vectors are counted as checked and not checked again.
     """
     if not report.succeeded:
         raise InputError("cannot verify properties of a failed construction")
     if samples < 0 or (degree_bound is not None and degree_bound < 0):
         raise InputError("samples and degree_bound must be nonnegative")
     M = report.module
+    _check_curve(curve, M)
     if degree_bound is None:
         degree_bound = default_degree_bound(curve, M)
     rng = random.Random(seed)
@@ -243,10 +281,19 @@ def verify_properties(
                 )
         counts["leibniz"] += 1
 
+    record = _conductor_record(curve, M, q)
     for w in range(M.min_shift(), degree_bound + 1):
+        whole = M.conductor_piece(w)
+        if whole:
+            n = record.get(w)
+            if n is not None:
+                counts["graded"] += n
+                counts["integrable"] += n
+                continue
         w_k = curve.field.from_rational(w)
         wlam_k = curve.field.from_rational(w + lam)
-        for vec in M.piece_basis(w):
+        basis = M.piece_basis(w)
+        for vec in basis:
             if apply_nabla_E(curve, M.cover, vec) != vec.scale(w_k):
                 raise ConsistencyError("nabla_E is not w*id in degree %d" % w)
             nd = apply_nabla_D(curve, M.cover, vec, q)
@@ -258,12 +305,17 @@ def verify_properties(
                     raise ConsistencyError(
                         "nabla_D leaves the module on a degree-%d basis vector" % w
                     )
+                # Recorded only where the bound decided each membership:
+                # one that read M's own piece depends on its generators.
+                whole = whole and M.in_conductor(nd.coeffs)
             counts["graded"] += 1
             # nabla_D(w * vec) = w * nd, so [nabla_E, nabla_D] vec = lam * nd
             # says nabla_E(nd) = (w + lam) * nd.
             if apply_nabla_E(curve, M.cover, nd) != nd.scale(wlam_k):
                 raise ConsistencyError("commutator identity failed in degree %d" % w)
             counts["integrable"] += 1
+        if whole:
+            record[w] = len(basis)
 
     report.verification = counts
     return counts

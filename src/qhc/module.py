@@ -16,9 +16,10 @@ A module built by canonical_embedding (or shifted from one) also knows
 the conductor bound, the exponents kappa_i of QuasiCurve.conductors:
 A-bar*M is the whole cover there, so the conductor of A times the cover
 lies in M, is_member answers yes at once on an element all of whose keys
-lie in it, and every piece all of whose cover keys lie in it is the whole
-cover piece (piece_basis).  No other module, coordinate_ring least of
-all, uses the bound.
+lie in it (in_conductor), and every piece all of whose cover keys lie in
+it, a conductor piece (conductor_piece), is the whole cover piece
+(piece_basis).  No other module, coordinate_ring least of all, uses the
+bound.
 
 A ModuleElement is built, stored and read as a sparse vector over the
 cover coordinates (branch, slot, t-exponent), the same keys that index a
@@ -247,26 +248,36 @@ class GradedSubmodule:
         """A basis of M_w (subset of the canonical generating family)."""
         return [elem for _, _, elem in self._piece(w)[0]]
 
+    def in_conductor(self, keys) -> bool:
+        """Whether the bound is set and every key (i, j, e) has e >=
+        conductor[i]: for the keys of an element, whether is_member says
+        yes at once."""
+        kappa = self.conductor
+        return kappa is not None and all(e >= kappa[i] for i, _, e in keys)
+
+    def conductor_piece(self, w: int) -> bool:
+        """Whether w is a conductor piece: every key of the degree-w cover
+        piece is in_conductor, so M_w is the whole cover piece."""
+        return self.in_conductor(self._degree_slots(w))
+
     def piece_basis(self, w: int) -> List[ModuleElement]:
         """A basis of M_w of graded_piece's size: the cover piece's unit
-        vectors, with no elimination, where every key (i, j, e) of it has
-        e >= conductor[i]; graded_piece(w) elsewhere or with no bound."""
-        kappa = self.conductor
+        vectors, with no elimination, on a conductor piece; graded_piece(w)
+        elsewhere or with no bound."""
         slots = self._degree_slots(w)
-        if kappa is None or any(e < kappa[i] for i, _, e in slots):
+        if not self.in_conductor(slots):
             return self.graded_piece(w)
         one = self.curve.field.one()
         return [_of(self.curve.field, {key: one}) for key in slots]
 
     def is_member(self, v: ModuleElement) -> bool:
         """Whether a homogeneous element lies in M: contains(v) is not None,
-        decided without solving for the witness, and at once when every key
-        (i, j, e) has e >= conductor[i]."""
+        decided without solving for the witness, and at once when
+        in_conductor(v.coeffs)."""
         if not v:
             return True
         w = element_degree(self.curve, self.cover, v)
-        kappa = self.conductor
-        if kappa is not None and all(e >= kappa[i] for i, _, e in v.coeffs):
+        if self.in_conductor(v.coeffs):
             return True
         return self._piece(w)[1].in_span(v.coeffs)
 

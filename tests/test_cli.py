@@ -303,6 +303,22 @@ def test_cli_rejects_a_non_integer_index(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["--label", "A_\u00b2"],
+        ["--label", "Y_3_\u00b9"],
+        ["--label", "A", "--index", "\u00b2"],
+    ],
+)
+def test_cli_rejects_superscript_digits(capsys, argv):
+    # str.isdigit accepts superscript digits, which int() then rejects.
+    code = main(["catalog"] + argv + ["info"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("input error") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
     "label, index, message",
     [
         ("A", "9", "A-series catalog covers A_1..A_6"),

@@ -10,6 +10,7 @@ import pytest
 from qhc import connection, io, linalg, semigroup
 from qhc.catalog import ADE_LABELS, catalog_get, fixture_modules
 from qhc.connection import (
+    ConnectionReport,
     apply_nabla_D,
     apply_nabla_E,
     check_stability,
@@ -24,12 +25,13 @@ from qhc.module import (
     FreeCover,
     GradedSubmodule,
     ModuleElement,
+    coordinate_ring,
     element_degree,
 )
 from qhc.poly import UniPoly
 
 from conftest import cusp_curve, y_family_curve
-from test_module import CATALOG_LABELS, case1_module, case2_module, element_of, entries_of, unstable_cusp_module
+from test_module import CATALOG_LABELS, _in_the_conductor, case1_module, case2_module, element_of, entries_of, unstable_cusp_module
 from test_terms import reference_act
 
 
@@ -430,9 +432,13 @@ def test_connect_and_verify_field_product_ceiling(monkeypatch):
     # the cover's unit vectors on pieces inside the conductor (kappa_i from
     # QuasiCurve.conductors).  free_square_module adds 1028 (3285).  2993
     # since nabla_D keeps each w*c_i on the curve: a memo that lived for
-    # one call made 3285, as most calls get a single unit vector.  A count,
-    # not a time, so it does not depend on the machine.
-    assert len(_product_allocations(monkeypatch)) <= 2993
+    # one call made 3285, as most calls get a single unit vector.  2805
+    # since (C1) reads M's own pieces and a report solves witnesses when
+    # read; 2675 since each conductor piece of a cover is checked once per
+    # curve, so a fixture whose canonical cover an earlier one of the curve
+    # had checks only the pieces off the conductor.  A count, not a time,
+    # so it does not depend on the machine.
+    assert len(_product_allocations(monkeypatch)) <= 2675
 
 
 def test_connect_and_verify_allocating_product_ceiling(monkeypatch):
@@ -441,7 +447,9 @@ def test_connect_and_verify_allocating_product_ceiling(monkeypatch):
     # nothing; all did when every product built its result.  The factors
     # equal to one are mostly the coefficients of the conductor unit
     # vectors, of the generator (1, ..., 1) of A and of branch images.
-    assert sum(_product_allocations(monkeypatch)) <= 1501
+    # 1412 since (C1) reads M's own pieces, 1360 with the conductor-piece
+    # record of verify_properties.
+    assert sum(_product_allocations(monkeypatch)) <= 1360
 
 
 @pytest.mark.parametrize("label", CATALOG_LABELS)
@@ -500,3 +508,172 @@ def test_random_module_element_matches_the_summing_reference(label):
                     v = connection._random_module_element(fast, M, bound)
                     assert v == reference_random_module_element(slow, M, bound)
                     assert fast.getstate() == slow.getstate()
+
+
+# -- the conductor-piece record of verify_properties ---------------------------
+
+def _connect_and_verify(curve, fx, seed):
+    report = natural_connection(curve, fx.module(curve))
+    if not report.succeeded:
+        return None, report
+    return verify_properties(curve, report, samples=5, seed=seed), report
+
+
+def _records(curve):
+    return curve._derived.get("conductor_pieces", {})
+
+
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_the_record_changes_no_count(label):
+    # Three passes over the fixtures, each verify with its own fixed seed:
+    # a fresh curve per fixture, whose record never hits, and one shared
+    # curve in each of two shuffled orders.  Every count must agree.
+    fixtures = fixture_modules(catalog_get(label))
+    seeds = [7000 + k for k in range(len(fixtures))]
+    fresh = [
+        _connect_and_verify(catalog_get(label).curve(), fx, seed)[0]
+        for fx, seed in zip(fixtures, seeds)
+    ]
+    for order_seed in (11, 12):
+        order = list(range(len(fixtures)))
+        random.Random(order_seed).shuffle(order)
+        curve = catalog_get(label).curve()
+        shared = [None] * len(fixtures)
+        for k in order:
+            shared[k] = _connect_and_verify(curve, fixtures[k], seeds[k])[0]
+        assert shared == fresh, (label, order_seed)
+
+
+@pytest.mark.parametrize("label", ["Y_5_4", "D_5", "E_7", "A_3"])
+def test_the_record_holds_every_passed_conductor_piece_and_nothing_else(label):
+    # After a pass on one curve, each record entry is a conductor piece of a
+    # verified module with that cover, mapped to its number of unit vectors,
+    # and every conductor piece those modules checked is in the record.
+    entry = catalog_get(label)
+    curve = entry.curve()
+    verified = []
+    for k, fx in enumerate(fixture_modules(entry)):
+        counts, report = _connect_and_verify(curve, fx, k)
+        if counts is not None:
+            verified.append(report.module)
+    records = _records(curve)
+    assert records
+    q = q_element(curve)
+    for (cover, kappa, key_q, nabla_E, nabla_D), record in records.items():
+        assert (key_q, nabla_E, nabla_D) == (q, apply_nabla_E, apply_nabla_D)
+        modules = [M for M in verified if M.cover == cover]
+        assert modules and all(M.conductor == kappa for M in modules)
+        expected = {}
+        for M in modules:
+            for w in range(M.min_shift(), default_degree_bound(curve, M) + 1):
+                assert M.conductor_piece(w) == _in_the_conductor(M, w)
+                if M.conductor_piece(w):
+                    expected[w] = len(M.piece_basis(w))
+        assert record == expected, (label, cover)
+
+
+def test_a_second_verify_checks_no_conductor_piece_again(monkeypatch):
+    # The same counts, with nabla_D applied again only off the conductor
+    # pieces; the operator is wrapped before both calls, so one key serves.
+    curve, report = _first_fixture_report("Y_5_4")
+    M = report.module
+    calls = []
+    real = connection.apply_nabla_D
+
+    def counted(curve, cover, v, q):
+        calls.append(element_degree(curve, cover, v))
+        return real(curve, cover, v, q)
+
+    monkeypatch.setattr(connection, "apply_nabla_D", counted)
+    first = verify_properties(curve, report, samples=0)
+    calls.clear()
+    assert verify_properties(curve, report, samples=0) == first
+    assert calls and not [w for w in calls if M.conductor_piece(w)]
+    assert first["graded"] > len(calls)
+
+
+def test_a_failing_conductor_piece_is_not_recorded(monkeypatch):
+    # nabla_E goes wrong on the last unit vector of a conductor piece with
+    # more than one: verify raises there, the conductor pieces below are
+    # recorded, and the failing one is not.
+    curve, report = _first_fixture_report("Y_5_4")
+    M = report.module
+    bound = default_degree_bound(curve, M)
+    w0 = next(
+        w for w in range(M.min_shift(), bound + 1)
+        if M.conductor_piece(w) and len(M.piece_basis(w)) > 1
+    )
+    last = M.piece_basis(w0)[-1]
+    real = connection.apply_nabla_E
+
+    def wrong_on_last(curve, cover, v):
+        out = real(curve, cover, v)
+        return out + v if v == last else out
+
+    monkeypatch.setattr(connection, "apply_nabla_E", wrong_on_last)
+    with pytest.raises(ConsistencyError, match="nabla_E is not w\\*id in degree %d$" % w0):
+        verify_properties(curve, report, samples=0)
+    record = connection._conductor_record(curve, M, q_element(curve))
+    assert w0 not in record
+    below = [w for w in range(M.min_shift(), w0) if M.conductor_piece(w)]
+    assert below and sorted(record) == below
+
+
+def test_a_module_with_no_conductor_bound_writes_no_entry():
+    # The module of a report rebuilt without the bound, and the coordinate
+    # ring: the same checks through eliminations, and no record entry.
+    curve, report = _first_fixture_report("D_5")
+    Mc = report.module
+    unbound = GradedSubmodule(curve, Mc.cover, Mc.generators)
+    assert unbound.conductor is None
+    fresh_curve = catalog_get("D_5").curve()
+    expected = verify_properties(
+        fresh_curve, natural_connection(fresh_curve, Mc), samples=5, seed=3
+    )
+    for module in (unbound, coordinate_ring(curve)):
+        hand = ConnectionReport(
+            path="direct-stability", lam=None, c1={}, c2={}, c3=(False, None), module=module
+        )
+        counts = verify_properties(curve, hand, samples=5, seed=3)
+        if module is unbound:
+            assert counts == expected
+        assert counts["graded"] > 0
+        assert not any(_records(curve).values())
+
+
+# -- the curve passed with a module ---------------------------------------------
+
+
+def _a2_normalization():
+    entry = catalog_get("A_2")
+    curve = entry.curve()
+    (fx,) = [fx for fx in fixture_modules(entry) if fx.name == "normalization"]
+    return curve, fx.module(curve)
+
+
+def test_another_curve_than_the_modules_is_rejected():
+    curve, M = _a2_normalization()
+    report = natural_connection(curve, M)
+    other = catalog_get("A_4").curve()
+    assert other != curve
+    for call in (
+        lambda: natural_connection(other, M),
+        lambda: verify_properties(other, report, samples=5),
+        lambda: default_degree_bound(other, report.module),
+    ):
+        with pytest.raises(InputError, match="the curve is not the module's curve"):
+            call()
+    assert verify_properties(curve, report, samples=5) == {
+        "leibniz": 5, "graded": 12, "integrable": 12,
+    }
+
+
+def test_an_equal_rebuilt_curve_is_accepted_with_the_same_counts():
+    curve, M = _a2_normalization()
+    rebuilt = catalog_get("A_2").curve()
+    assert rebuilt is not curve and rebuilt == curve
+    report = natural_connection(rebuilt, M)
+    assert report.path == natural_connection(curve, M).path
+    counts = verify_properties(rebuilt, report, samples=5, seed=1)
+    assert counts == verify_properties(curve, natural_connection(curve, M), samples=5, seed=1)
+    assert default_degree_bound(rebuilt, report.module) == default_degree_bound(curve, report.module)
