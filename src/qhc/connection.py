@@ -11,17 +11,20 @@ commutator identity by exact sampling, on a basis of each degree piece
 that is the cover's unit vectors, with no elimination, on a conductor
 piece: every key of the cover piece lies in the conductor, whose
 exponents kappa_i the curve holds (QuasiCurve.conductors,
-GradedSubmodule.conductor_piece).  The checks on a conductor piece read
-no generator, so a piece that passed is recorded on the curve per cover,
-bound, q and operators, and not checked again by a later verify there.
-Each entry point takes the module's own curve or one equal to it.
+GradedSubmodule.conductor_slots).  The checks on such a unit vector read
+its key and its slot's shift but no other slot and no generator, so one
+that passed is recorded on the curve per bound, q and operators as
+(slot, shift, exponent), and a later verify there does not check it
+again, whatever cover it has the slot in.  A nabla_D image of two
+degrees is a ConsistencyError.  Each entry point takes the module's own
+curve or one equal to it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .curve import QuasiCurve
 from .derivation import euler, koszul, q_element
@@ -32,7 +35,7 @@ from .module import (
     ModuleElement,
     Witness,
     _of,
-    element_degree,
+    element_degrees,
 )
 from .poly import BiPoly, monomials_of_weight
 
@@ -72,14 +75,27 @@ def apply_nabla_D(
     return _of(fld, out)
 
 
+def _image_degree(curve: QuasiCurve, cover: FreeCover, nd: ModuleElement) -> Optional[int]:
+    """The degree of a nabla_D image, None for zero.  nabla_D maps a
+    homogeneous element to a homogeneous one, so an image of two degrees
+    is a fault of the operator, not of the input: ConsistencyError."""
+    degrees = element_degrees(curve, cover, nd)
+    if len(degrees) > 1:
+        raise ConsistencyError("nabla_D image is not homogeneous: degrees %s" % sorted(degrees))
+    return next(iter(degrees), None)
+
+
 def check_stability(M: GradedSubmodule, q: tuple) -> Tuple[bool, List[ModuleElement]]:
     """Whether nabla_D(m_l) is in M for every generator, decided by
-    is_member with no witness solved, and the images nabla_D(m_l).
+    is_member with no witness solved, and the images nabla_D(m_l); an
+    image of two degrees raises ConsistencyError.
 
     Generator sufficiency follows from the Leibniz identity
     nabla_D(a m) = a nabla_D(m) + D(a) m with D(a) in A.
     """
     images = [apply_nabla_D(M.curve, M.cover, gen, q) for gen in M.generators]
+    for img in images:
+        _image_degree(M.curve, M.cover, img)
     return all(M.is_member(img) for img in images), images
 
 
@@ -206,22 +222,24 @@ def _random_module_element(
 
 def _conductor_record(
     curve: QuasiCurve, M: GradedSubmodule, q: tuple
-) -> Optional[Dict[int, int]]:
-    """The conductor pieces of M's cover that passed the gradedness checks
-    on this curve, each mapped to the number of basis vectors checked on
-    it; None on a module with no conductor bound.
+) -> Optional[Set[Tuple[int, int, int, int]]]:
+    """The conductor unit vectors that passed the gradedness checks on
+    this curve, each as (i, j, f_ij, e); None on a module with no
+    conductor bound.
 
-    On a conductor piece the basis is the cover's unit vectors, and every
-    check (nabla_E = w id, the degree and conductor membership of nabla_D,
-    the commutator) reads only the curve, q, the cover, the bound and the
-    two operators, so the record is kept on the curve under all of them,
-    the operators as verify_properties finds them now.
+    On a conductor piece the basis is the cover's unit vectors, and the
+    checks on the one of key (i, j, e) (nabla_E = w id, the degree and
+    conductor membership of nabla_D, the commutator) read only the curve,
+    q, the bound, the two operators, the key and its slot's shift f_ij =
+    cover.shifts[i][j]: no other slot of the cover and no generator.  So
+    one set is kept on the curve per bound, q and operators, the
+    operators as verify_properties finds them now, and any module whose
+    cover has the slot (i, j) at shift f_ij reads it.
     """
     if M.conductor is None:
         return None
-    records = curve._derived.setdefault("conductor_pieces", {})
-    key = (M.cover, M.conductor, q, apply_nabla_E, apply_nabla_D)
-    return records.setdefault(key, {})
+    records = curve._derived.setdefault("conductor_vectors", {})
+    return records.setdefault((M.conductor, q, apply_nabla_E, apply_nabla_D), set())
 
 
 def verify_properties(
@@ -241,9 +259,12 @@ def verify_properties(
     nabla_E(nd) = (w + lam) nd.  Any failure raises with the offending
     sample or degree.
 
-    A conductor piece that passed is recorded on the curve
-    (_conductor_record); where an earlier verify on this curve recorded
-    it, its basis vectors are counted as checked and not checked again.
+    On a conductor piece (GradedSubmodule.conductor_slots) each unit
+    vector that passed is recorded on the curve by its slot, the slot's
+    shift and its exponent (_conductor_record); one that an earlier
+    verify on this curve recorded, for this module's cover or another
+    with that slot at that shift, is counted as checked and not checked
+    again.  An image of nabla_D of two degrees raises ConsistencyError.
     """
     if not report.succeeded:
         raise InputError("cannot verify properties of a failed construction")
@@ -282,40 +303,49 @@ def verify_properties(
         counts["leibniz"] += 1
 
     record = _conductor_record(curve, M, q)
+    fld, shifts = curve.field, M.cover.shifts
     for w in range(M.min_shift(), degree_bound + 1):
-        whole = M.conductor_piece(w)
-        if whole:
-            n = record.get(w)
-            if n is not None:
-                counts["graded"] += n
-                counts["integrable"] += n
+        slots = M.conductor_slots(w)
+        if slots is None:
+            basis = M.graded_piece(w)
+        else:
+            one = fld.one()
+            basis = [
+                _of(fld, {(i, j, e): one})
+                for i, j, e in slots
+                if (i, j, shifts[i][j], e) not in record
+            ]
+            n = len(slots) - len(basis)
+            counts["graded"] += n
+            counts["integrable"] += n
+            if not basis:
                 continue
-        w_k = curve.field.from_rational(w)
-        wlam_k = curve.field.from_rational(w + lam)
-        basis = M.piece_basis(w)
+        w_k = fld.from_rational(w)
+        wlam_k = fld.from_rational(w + lam)
         for vec in basis:
             if apply_nabla_E(curve, M.cover, vec) != vec.scale(w_k):
                 raise ConsistencyError("nabla_E is not w*id in degree %d" % w)
             nd = apply_nabla_D(curve, M.cover, vec, q)
+            # Recorded only where the bound decided the membership: one
+            # that read M's own piece depends on its generators.
+            bounded = True
             if nd:
-                wd = element_degree(curve, M.cover, nd)
-                if wd != w + lam:
+                if _image_degree(curve, M.cover, nd) != w + lam:
                     raise ConsistencyError("nabla_D does not raise degree by %d" % lam)
-                if not M.is_member(nd):
+                bounded = M.in_conductor(nd.coeffs)
+                if not bounded and not M.is_member(nd):
                     raise ConsistencyError(
                         "nabla_D leaves the module on a degree-%d basis vector" % w
                     )
-                # Recorded only where the bound decided each membership:
-                # one that read M's own piece depends on its generators.
-                whole = whole and M.in_conductor(nd.coeffs)
             counts["graded"] += 1
             # nabla_D(w * vec) = w * nd, so [nabla_E, nabla_D] vec = lam * nd
             # says nabla_E(nd) = (w + lam) * nd.
             if apply_nabla_E(curve, M.cover, nd) != nd.scale(wlam_k):
                 raise ConsistencyError("commutator identity failed in degree %d" % w)
             counts["integrable"] += 1
-        if whole:
-            record[w] = len(basis)
+            if slots is not None and bounded:
+                ((i, j, e),) = vec.coeffs
+                record.add((i, j, shifts[i][j], e))
 
     report.verification = counts
     return counts

@@ -17,7 +17,7 @@ the conductor bound, the exponents kappa_i of QuasiCurve.conductors:
 A-bar*M is the whole cover there, so the conductor of A times the cover
 lies in M, is_member answers yes at once on an element all of whose keys
 lie in it (in_conductor), and every piece all of whose cover keys lie in
-it, a conductor piece (conductor_piece), is the whole cover piece
+it, a conductor piece (conductor_slots), is the whole cover piece
 (piece_basis).  No other module, coordinate_ring least of all, uses the
 bound.
 
@@ -255,17 +255,23 @@ class GradedSubmodule:
         kappa = self.conductor
         return kappa is not None and all(e >= kappa[i] for i, _, e in keys)
 
+    def conductor_slots(self, w: int) -> Optional[List[Tuple[int, int, int]]]:
+        """The keys of the degree-w cover piece if w is a conductor piece,
+        every key in_conductor, so that M_w is the whole cover piece; None
+        elsewhere or with no bound."""
+        slots = self._degree_slots(w)
+        return slots if self.in_conductor(slots) else None
+
     def conductor_piece(self, w: int) -> bool:
-        """Whether w is a conductor piece: every key of the degree-w cover
-        piece is in_conductor, so M_w is the whole cover piece."""
-        return self.in_conductor(self._degree_slots(w))
+        """Whether w is a conductor piece (conductor_slots)."""
+        return self.conductor_slots(w) is not None
 
     def piece_basis(self, w: int) -> List[ModuleElement]:
         """A basis of M_w of graded_piece's size: the cover piece's unit
         vectors, with no elimination, on a conductor piece; graded_piece(w)
         elsewhere or with no bound."""
-        slots = self._degree_slots(w)
-        if not self.in_conductor(slots):
+        slots = self.conductor_slots(w)
+        if slots is None:
             return self.graded_piece(w)
         one = self.curve.field.one()
         return [_of(self.curve.field, {key: one}) for key in slots]

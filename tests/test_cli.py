@@ -11,12 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from qhc import io
+from qhc import connection, io
 from qhc.catalog import ADE_LABELS, catalog_get, fixture_modules
 from qhc.cli import build_parser, main
 from qhc.errors import InputError
 
 from conftest import y_family_curve
+from test_connection import mixed_nabla_D
 from test_module import case1_module, unstable_cusp_module
 from conftest import cusp_curve
 
@@ -161,6 +162,21 @@ def test_cli_connect_failure_exit_code(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["path"] == "none"
     assert "verified" not in report
+
+
+def test_cli_mixed_nabla_D_image_exit_code(tmp_path, capsys, monkeypatch):
+    # A nabla_D that returns an image of two degrees is a fault of the
+    # program, not of the input: exit 2, not the input error's 1.
+    entry = catalog_get("A_2")
+    curve = entry.curve()
+    (fx,) = [fx for fx in fixture_modules(entry) if fx.name == "normalization"]
+    cpath = _write(tmp_path, "a2.json", io.curve_to_json(curve))
+    mpath = _write(tmp_path, "normalization.json", io.module_to_json(fx.module(curve)))
+    monkeypatch.setattr(connection, "apply_nabla_D", mixed_nabla_D(connection.apply_nabla_D))
+    code = main(["module", "--curve", cpath, "--module", mpath, "connect", "--samples", "0"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("internal consistency failure: nabla_D image is not homogeneous")
 
 
 def test_cli_input_errors(tmp_path, capsys):

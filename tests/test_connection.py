@@ -334,6 +334,34 @@ def test_verify_properties_catches_a_q_of_the_wrong_degree(monkeypatch):
         verify_properties(curve, report, samples=0)
 
 
+def mixed_nabla_D(real):
+    """nabla_D with a second degree added to each nonzero image: a fault of
+    the operator, whatever the module."""
+
+    def mixed(curve, cover, v, q):
+        out = real(curve, cover, v, q)
+        if out:
+            i, j, e = next(iter(out.coeffs))
+            out = out + ModuleElement(curve.field, {(i, j, e + 1): curve.field.one()})
+        return out
+
+    return mixed
+
+
+def test_a_mixed_nabla_D_image_is_a_consistency_error(monkeypatch):
+    # Both the stability check of natural_connection and the gradedness loop
+    # of verify_properties meet the image; neither calls it an input error.
+    curve, M = _a2_normalization()
+    report = natural_connection(curve, M)
+    monkeypatch.setattr(connection, "apply_nabla_D", mixed_nabla_D(connection.apply_nabla_D))
+    for call in (
+        lambda: natural_connection(curve, M),
+        lambda: verify_properties(curve, report, samples=0),
+    ):
+        with pytest.raises(ConsistencyError, match=r"nabla_D image is not homogeneous: degrees \[\d+, \d+\]"):
+            call()
+
+
 # -- mutants of nabla_E that the degree sweep of verify_properties must catch --
 
 MUTANT_LABELS = ["Y_3_2", "D_4", "E_6"]  # over Q, Q(i) and Q(zeta8)
@@ -436,9 +464,11 @@ def test_connect_and_verify_field_product_ceiling(monkeypatch):
     # since (C1) reads M's own pieces and a report solves witnesses when
     # read; 2675 since each conductor piece of a cover is checked once per
     # curve, so a fixture whose canonical cover an earlier one of the curve
-    # had checks only the pieces off the conductor.  A count, not a time,
-    # so it does not depend on the machine.
-    assert len(_product_allocations(monkeypatch)) <= 2675
+    # had checks only the pieces off the conductor; 2545 since each
+    # conductor unit vector is checked once per curve by its slot, shift
+    # and exponent, whatever cover holds it.  A count, not a time, so it
+    # does not depend on the machine.
+    assert len(_product_allocations(monkeypatch)) <= 2545
 
 
 def test_connect_and_verify_allocating_product_ceiling(monkeypatch):
@@ -448,8 +478,8 @@ def test_connect_and_verify_allocating_product_ceiling(monkeypatch):
     # equal to one are mostly the coefficients of the conductor unit
     # vectors, of the generator (1, ..., 1) of A and of branch images.
     # 1412 since (C1) reads M's own pieces, 1360 with the conductor-piece
-    # record of verify_properties.
-    assert sum(_product_allocations(monkeypatch)) <= 1360
+    # record of verify_properties, 1308 with that record kept per slot.
+    assert sum(_product_allocations(monkeypatch)) <= 1308
 
 
 @pytest.mark.parametrize("label", CATALOG_LABELS)
@@ -520,7 +550,23 @@ def _connect_and_verify(curve, fx, seed):
 
 
 def _records(curve):
-    return curve._derived.get("conductor_pieces", {})
+    return curve._derived.get("conductor_vectors", {})
+
+
+def _entries(cover, keys):
+    """The record entry (i, j, f_ij, e) of each cover key (i, j, e)."""
+    return [(i, j, cover.shifts[i][j], e) for i, j, e in keys]
+
+
+def _conductor_entries(M, top):
+    """The entries of M's conductor unit vectors of degree at most top, in
+    the order verify_properties checks them."""
+    return [
+        entry
+        for w in range(M.min_shift(), top + 1)
+        if M.conductor_piece(w)
+        for entry in _entries(M.cover, M.conductor_slots(w))
+    ]
 
 
 @pytest.mark.parametrize("label", CATALOG_LABELS)
@@ -546,9 +592,9 @@ def test_the_record_changes_no_count(label):
 
 @pytest.mark.parametrize("label", ["Y_5_4", "D_5", "E_7", "A_3"])
 def test_the_record_holds_every_passed_conductor_piece_and_nothing_else(label):
-    # After a pass on one curve, each record entry is a conductor piece of a
-    # verified module with that cover, mapped to its number of unit vectors,
-    # and every conductor piece those modules checked is in the record.
+    # After a pass on one curve, the one record, under the curve's bound, q
+    # and the operators, holds exactly the conductor unit vectors (i, j,
+    # f_ij, e) of the verified modules up to their default bounds.
     entry = catalog_get(label)
     curve = entry.curve()
     verified = []
@@ -556,20 +602,18 @@ def test_the_record_holds_every_passed_conductor_piece_and_nothing_else(label):
         counts, report = _connect_and_verify(curve, fx, k)
         if counts is not None:
             verified.append(report.module)
+    key = (curve.conductors, q_element(curve), apply_nabla_E, apply_nabla_D)
     records = _records(curve)
-    assert records
-    q = q_element(curve)
-    for (cover, kappa, key_q, nabla_E, nabla_D), record in records.items():
-        assert (key_q, nabla_E, nabla_D) == (q, apply_nabla_E, apply_nabla_D)
-        modules = [M for M in verified if M.cover == cover]
-        assert modules and all(M.conductor == kappa for M in modules)
-        expected = {}
-        for M in modules:
-            for w in range(M.min_shift(), default_degree_bound(curve, M) + 1):
-                assert M.conductor_piece(w) == _in_the_conductor(M, w)
-                if M.conductor_piece(w):
-                    expected[w] = len(M.piece_basis(w))
-        assert record == expected, (label, cover)
+    assert list(records) == [key]
+    expected = set()
+    for M in verified:
+        assert M.conductor == curve.conductors
+        for w in range(M.min_shift(), default_degree_bound(curve, M) + 1):
+            slots = M.conductor_slots(w)
+            assert (slots is not None) == M.conductor_piece(w) == _in_the_conductor(M, w)
+            if slots is not None:
+                expected.update(_entries(M.cover, slots))
+    assert expected and records[key] == expected, label
 
 
 def test_a_second_verify_checks_no_conductor_piece_again(monkeypatch):
@@ -594,8 +638,9 @@ def test_a_second_verify_checks_no_conductor_piece_again(monkeypatch):
 
 def test_a_failing_conductor_piece_is_not_recorded(monkeypatch):
     # nabla_E goes wrong on the last unit vector of a conductor piece with
-    # more than one: verify raises there, the conductor pieces below are
-    # recorded, and the failing one is not.
+    # more than one: verify raises there, and the record holds the conductor
+    # vectors checked before it, those of the lower conductor pieces and the
+    # others of its own piece, and not the failing one.
     curve, report = _first_fixture_report("Y_5_4")
     M = report.module
     bound = default_degree_bound(curve, M)
@@ -614,9 +659,88 @@ def test_a_failing_conductor_piece_is_not_recorded(monkeypatch):
     with pytest.raises(ConsistencyError, match="nabla_E is not w\\*id in degree %d$" % w0):
         verify_properties(curve, report, samples=0)
     record = connection._conductor_record(curve, M, q_element(curve))
-    assert w0 not in record
-    below = [w for w in range(M.min_shift(), w0) if M.conductor_piece(w)]
-    assert below and sorted(record) == below
+    checked = _conductor_entries(M, w0)
+    assert checked[-1] == _entries(M.cover, last.coeffs)[0]
+    assert len(checked) > 2 and record == set(checked[:-1])
+
+
+def test_a_slot_shared_with_another_cover_is_not_checked_again(monkeypatch):
+    # Y_3_2's case1_h1 and case2_h1 land in the covers ((0,), (0,)) and
+    # ((1,), (0,)): they share slot (1, 0) at shift 0, and slot (0, 0) has
+    # another shift in each.  After case1_h1, the verify of case2_h1 applies
+    # nabla_D to each of its conductor unit vectors that case1_h1 did not
+    # record and to none that it did, with the counts of a fresh curve.
+    fixtures = {fx.name: fx for fx in fixture_modules(catalog_get("Y_3_2"))}
+    fresh_curve = catalog_get("Y_3_2").curve()
+    fresh = verify_properties(
+        fresh_curve,
+        natural_connection(fresh_curve, fixtures["case2_h1"].module(fresh_curve)),
+        samples=0,
+    )
+    curve = catalog_get("Y_3_2").curve()
+    assert curve is not fresh_curve
+    first, second = (
+        natural_connection(curve, fixtures[name].module(curve)) for name in ("case1_h1", "case2_h1")
+    )
+    assert first.module.cover.shifts == ((0,), (0,))
+    assert second.module.cover.shifts == ((1,), (0,))
+    calls = []
+    real = connection.apply_nabla_D
+
+    def counted(curve, cover, v, q):
+        calls.extend(_entries(cover, v.coeffs))
+        return real(curve, cover, v, q)
+
+    monkeypatch.setattr(connection, "apply_nabla_D", counted)
+    verify_properties(curve, first, samples=0)
+    recorded = set(connection._conductor_record(curve, first.module, q_element(curve)))
+    calls.clear()
+    assert verify_properties(curve, second, samples=0) == fresh
+    M = second.module
+    conductor = set(_conductor_entries(M, default_degree_bound(curve, M)))
+    shared, unshared = conductor & recorded, conductor - recorded
+    assert {(i, j) for i, j, _, _ in shared} == {(1, 0)}
+    # Slot (0, 0) is left: its keys meet exponents case1_h1 recorded, at
+    # shift 0, so only the shift tells the two vectors apart.
+    assert {(i, j) for i, j, _, _ in unshared} == {(0, 0)}
+    assert {e for _, _, _, e in unshared} & {e for i, _, _, e in recorded if i == 0}
+    assert not shared & set(calls)
+    assert unshared <= set(calls)
+
+
+def test_a_vector_whose_image_the_bound_does_not_decide_is_not_recorded(monkeypatch):
+    # The cusp's normalization squared on the cover ((0, 3),): degree 2 is a
+    # conductor piece, its one key (0, 0, 2) has e >= kappa = 2, but degree
+    # 3 = 2 + lam holds e_12 = (0, 1, 0), below the bound.  An operator that
+    # adds e_12 to nabla_D of that unit vector keeps the image in M, which
+    # M's own piece decides: the vector passes, is not recorded, and the
+    # next verify checks it again.
+    curve = cusp_curve()
+    fld = curve.field
+    one = fld.one()
+    gens = [ModuleElement(fld, {(0, j, e): one}) for j in (0, 1) for e in (0, 1)]
+    report = natural_connection(curve, GradedSubmodule(curve, FreeCover(((0, 3),)), gens))
+    M = report.module
+    assert report.path == "C2-path" and M.cover.shifts == ((0, 3),)
+    assert M.conductor_slots(2) == [(0, 0, 2)] and M.conductor_slots(3) is None
+    e12 = ModuleElement(fld, {(0, 1, 0): one})
+    assert not M.in_conductor(e12.coeffs) and M.is_member(e12)
+    real = connection.apply_nabla_D
+    calls = []
+
+    def adds_e12(curve, cover, v, q):
+        calls.extend(_entries(cover, v.coeffs))
+        out = real(curve, cover, v, q)
+        return out + e12 if list(v.coeffs) == [(0, 0, 2)] else out
+
+    monkeypatch.setattr(connection, "apply_nabla_D", adds_e12)
+    first = verify_properties(curve, report, samples=0)
+    record = connection._conductor_record(curve, M, q_element(curve))
+    conductor = set(_conductor_entries(M, default_degree_bound(curve, M)))
+    assert (0, 0, 0, 2) in conductor and record == conductor - {(0, 0, 0, 2)}
+    calls.clear()
+    assert verify_properties(curve, report, samples=0) == first
+    assert (0, 0, 0, 2) in calls
 
 
 def test_a_module_with_no_conductor_bound_writes_no_entry():
