@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, InputError
-from .field import FieldElement, NumberField, as_fraction
+from .field import FieldElement, NumberField, _common_denominator, as_fraction
 from .poly import BiPoly, UniPoly
 
 
@@ -103,6 +103,13 @@ def infer_weights(f: BiPoly) -> Tuple[int, int]:
     return ratio
 
 
+# Stopgap budgets of the trial-division root search until a Hensel root
+# finder replaces it (ROADMAP item 3): the isqrt of the end coefficients
+# bounds _divisors, and a candidate costs one step per degree left to search.
+ROOT_DIVISOR_BUDGET = 10 ** 7
+ROOT_STEP_BUDGET = 10 ** 5
+
+
 def _divisors(n: int) -> List[int]:
     """The positive divisors of n != 0, ascending, by trial division up to sqrt|n|."""
     n = abs(n)
@@ -134,7 +141,8 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
 
     coeffs are low-first rational coefficients of a nonzero polynomial.
     Past the zero roots, a factor of degree >= 2 is searched by trial
-    division over _root_candidates, deflating each root found; a linear one,
+    division over _root_candidates, deflating each root found, and InputError
+    is raised past ROOT_DIVISOR_BUDGET or ROOT_STEP_BUDGET; a linear one,
     from the start or after deflation, has its root read directly.
     """
     coeffs = [as_fraction(c) for c in coeffs]
@@ -142,18 +150,10 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
         coeffs.pop()
     if not coeffs:
         raise InputError("root finding on the zero polynomial")
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in coeffs]
-    zero_mult = 0
-    while ints and ints[0] == 0:
-        ints.pop(0)
-        zero_mult += 1
-
-    roots = []
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
+    ints, _ = _common_denominator(coeffs)
+    zero_mult = next(k for k, c in enumerate(ints) if c)
+    ints = ints[zero_mult:]
+    roots = [(Fraction(0), zero_mult)] if zero_mult else []
 
     def eval_at(cs, r):
         acc = Fraction(0)
@@ -163,9 +163,15 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
 
     work = [Fraction(c) for c in ints]
     if len(work) > 2:
+        if math.isqrt(max(abs(ints[0]), abs(ints[-1]))) > ROOT_DIVISOR_BUDGET:
+            raise InputError("root search: an end coefficient has isqrt above %d" % ROOT_DIVISOR_BUDGET)
         # Small |numerator| first: those candidates are the cheapest to
         # evaluate, and the search stops once a linear remainder is left.
+        steps = 0
         for r in _root_candidates(ints[0], ints[-1]):
+            steps += len(work) - 1
+            if steps > ROOT_STEP_BUDGET:
+                raise InputError("root search: more than the budget of %d steps" % ROOT_STEP_BUDGET)
             mult = 0
             while len(work) > 1 and eval_at(work, r) == 0:
                 work = _deflate(work, r)
@@ -191,8 +197,7 @@ def find_rational_root(coeffs: Sequence[Fraction]) -> Optional[Fraction]:
     as the polynomial is square-free) is lifted by Newton's step mod p^(2^k)
     past 2|c_0*c_s|, where c_s times it leaves y as its symmetric residue.
     """
-    den = math.lcm(*(as_fraction(c).denominator for c in coeffs))
-    f = [int(as_fraction(c) * den) for c in coeffs]
+    f, _ = _common_denominator([as_fraction(c) for c in coeffs])
     df = [k * c for k, c in enumerate(f)][1:]
 
     def at(cs, x, m):

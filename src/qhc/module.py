@@ -262,10 +262,6 @@ class GradedSubmodule:
         slots = self._degree_slots(w)
         return slots if self.in_conductor(slots) else None
 
-    def conductor_piece(self, w: int) -> bool:
-        """Whether w is a conductor piece (conductor_slots)."""
-        return self.conductor_slots(w) is not None
-
     def piece_basis(self, w: int) -> List[ModuleElement]:
         """A basis of M_w of graded_piece's size: the cover piece's unit
         vectors, with no elimination, on a conductor piece; graded_piece(w)
@@ -320,6 +316,11 @@ class GradedSubmodule:
         degree w is held as (w, {slot: c}), its slot-j entry being
         c t_i^((w - f_ij)/d_i), so a reduction step is coefficient
         arithmetic and a new cover shift is the degree of its pivot.
+        Each generator's new coordinates are read off that one reduction:
+        the rows are swept in order and a pivot is zero on earlier rows, so
+        a column's entry c at a pivot's row, where it is reduced (or the
+        pivot's own, before it is normalized), is its coordinate
+        c t_i^((w - pw)/d_i) on that pivot of degree pw.
         Idempotent: the pivot columns form an echelon basis, so a second
         pass picks the same pivots, now the unit vectors of the new cover.
         The result carries the conductor bound (_bound_by_conductor).
@@ -329,47 +330,37 @@ class GradedSubmodule:
         for l, g in enumerate(self.generators):
             for (i, j, _), c in g.coeffs.items():
                 parts[i][l][j] = c
-        bases = []  # per branch: (pivot row, degree, column with 1 in that row)
+        coeffs = [{} for _ in self.generators]  # the new coordinates of each
+        shifts = []  # per branch: the degree of each pivot, the new f_ij
         for i, branch_shifts in enumerate(self.cover.shifts):
-            work = [(w, part) for w, part in zip(self.weights, parts[i]) if part]
-            basis = []
+            d_i = self.curve.branches[i].t_degree
+            work = [(l, w, part) for l, (w, part) in enumerate(zip(self.weights, parts[i])) if part]
+            pivot_degrees = []
             for row in range(len(branch_shifts)):
-                candidates = [idx for idx, (_, col) in enumerate(work) if row in col]
+                candidates = [idx for idx, (_, _, col) in enumerate(work) if row in col]
                 if not candidates:
                     continue
-                pw, pivot = work.pop(min(candidates, key=lambda idx: work[idx][0]))
+                pl, pw, pivot = work.pop(min(candidates, key=lambda idx: work[idx][1]))
+                new_j = len(pivot_degrees)
+                pivot_degrees.append(pw)
+                coeffs[pl][(i, new_j, 0)] = pivot[row]
                 inv = pivot[row].inv()
                 pivot = {j: c * inv for j, c in pivot.items()}
                 remaining = []
-                for w, col in work:
+                for l, w, col in work:
                     if row in col:
                         if w < pw:
                             raise ConsistencyError("pivot was not minimal")
+                        coeffs[l][(i, new_j, (w - pw) // d_i)] = col[row]
                         col = linalg.sub_multiple(col, col[row], pivot)
                     if col:
-                        remaining.append((w, col))
+                        remaining.append((l, w, col))
                 work = remaining
-                basis.append((row, pw, pivot))
-            bases.append(basis)
-        new_gens = []
-        for l, w in enumerate(self.weights):
-            coeffs = {}
-            for i, basis in enumerate(bases):
-                d_i = self.curve.branches[i].t_degree
-                p = parts[i][l]
-                for new_j, (row, pw, col) in enumerate(basis):
-                    if row not in p:
-                        continue
-                    if w < pw:
-                        raise ConsistencyError("projection not in branch module")
-                    q = p[row]
-                    p = linalg.sub_multiple(p, q, col)
-                    coeffs[(i, new_j, (w - pw) // d_i)] = q
-                if p:
-                    raise ConsistencyError("projection not reduced to zero")
-            new_gens.append(_of(self.curve.field, coeffs))
-        new_cover = FreeCover(tuple(tuple(pw for _, pw, _ in basis) for basis in bases))
-        return GradedSubmodule(self.curve, new_cover, new_gens)._bound_by_conductor()
+            if work:
+                raise ConsistencyError("projection not reduced to zero")
+            shifts.append(tuple(pivot_degrees))
+        new_gens = [_of(self.curve.field, c) for c in coeffs]
+        return GradedSubmodule(self.curve, FreeCover(tuple(shifts)), new_gens)._bound_by_conductor()
 
     def _bound_by_conductor(self) -> "GradedSubmodule":
         """Set conductor on a module with A-bar*M = cover.

@@ -716,6 +716,33 @@ def test_cli_branches_of_a_cusp_with_a_large_coefficient(tmp_path, c, code, mess
         assert message in "\n".join(err) and not done.stdout
 
 
+def test_cli_rejects_a_mixed_factor_with_a_40_digit_end_coefficient(tmp_path):
+    # x^4 - (10^39 + 1) x^2 y^3 + 10^39 y^6 = (x^2 - y^3)(x^2 - 10^39 y^3): a
+    # mixed factor of degree two, whose root search listed the divisors of
+    # 10^39 by trial division and did not finish.  The budget on the end
+    # coefficients turns that into an input error; a subprocess turns a
+    # hang into a timeout instead of a stalled suite.
+    c = 10 ** 39
+    spec = {"weights": [3, 2], "f": [
+        {"coeff": ["1/1"], "x": 4, "y": 0},
+        {"coeff": ["%d/1" % -(c + 1)], "x": 2, "y": 3},
+        {"coeff": ["%d/1" % c], "x": 0, "y": 6},
+    ]}
+    path = _write(tmp_path, "curve.json", spec)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _TIMED_CLI, "curve", "--in", path, "branches"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert done.returncode == 1 and not done.stdout
+    err, elapsed = done.stderr.splitlines()
+    assert err.startswith("input error: root search") and "Traceback" not in done.stderr, err
+    assert float(elapsed.split()[1]) < 1.0
+
+
 def test_cli_rejects_a_min_poly_above_the_degree_budget(tmp_path):
     # The square-free check on this dense degree-160 min_poly ran past
     # 120 s; the budget rejects it before the field is built.

@@ -31,7 +31,7 @@ from qhc.module import (
 from qhc.poly import UniPoly
 
 from conftest import cusp_curve, y_family_curve
-from test_module import CATALOG_LABELS, _in_the_conductor, case1_module, case2_module, element_of, entries_of, unstable_cusp_module
+from test_module import CATALOG_LABELS, _in_the_conductor, case1_module, case2_module, element_of, entries_of, reference_canonical_embedding, unstable_cusp_module
 from test_terms import reference_act
 
 
@@ -427,6 +427,27 @@ def free_square_module(curve):
     return GradedSubmodule(curve, cover, gens)
 
 
+def test_canonical_embedding_reduces_each_branch_part_once(monkeypatch):
+    # On each of D_4's three branches, free_square_module's second generator
+    # is reduced once, at the pivot of the first slot, and both generators'
+    # new coordinates are read off that reduction.  Reducing every branch
+    # part again against the finished basis took four reductions a branch.
+    curve = catalog_get("D_4").curve()
+    M = free_square_module(curve)
+    calls = []
+    real = linalg.sub_multiple
+
+    def counted(v, c, e):
+        calls.append(c)
+        return real(v, c, e)
+
+    monkeypatch.setattr(linalg, "sub_multiple", counted)
+    Mc = M.canonical_embedding()
+    monkeypatch.undo()
+    assert len(calls) == curve.r == 3
+    assert (Mc.cover, Mc.generators) == reference_canonical_embedding(M)
+
+
 def _product_allocations(monkeypatch):
     """One flag per field product made by natural_connection +
     verify_properties(samples=5, seed=0) on every D_4 (over Q(i)) and E_6
@@ -466,9 +487,11 @@ def test_connect_and_verify_field_product_ceiling(monkeypatch):
     # curve, so a fixture whose canonical cover an earlier one of the curve
     # had checks only the pieces off the conductor; 2545 since each
     # conductor unit vector is checked once per curve by its slot, shift
-    # and exponent, whatever cover holds it.  A count, not a time, so it
-    # does not depend on the machine.
-    assert len(_product_allocations(monkeypatch)) <= 2545
+    # and exponent, whatever cover holds it; 2498 since canonical_embedding
+    # reads each generator's new coordinates off its one column reduction
+    # instead of reducing every branch part a second time.  A count, not a
+    # time, so it does not depend on the machine.
+    assert len(_product_allocations(monkeypatch)) <= 2498
 
 
 def test_connect_and_verify_allocating_product_ceiling(monkeypatch):
@@ -564,7 +587,7 @@ def _conductor_entries(M, top):
     return [
         entry
         for w in range(M.min_shift(), top + 1)
-        if M.conductor_piece(w)
+        if M.conductor_slots(w) is not None
         for entry in _entries(M.cover, M.conductor_slots(w))
     ]
 
@@ -610,7 +633,7 @@ def test_the_record_holds_every_passed_conductor_piece_and_nothing_else(label):
         assert M.conductor == curve.conductors
         for w in range(M.min_shift(), default_degree_bound(curve, M) + 1):
             slots = M.conductor_slots(w)
-            assert (slots is not None) == M.conductor_piece(w) == _in_the_conductor(M, w)
+            assert (slots is not None) == _in_the_conductor(M, w)
             if slots is not None:
                 expected.update(_entries(M.cover, slots))
     assert expected and records[key] == expected, label
@@ -632,7 +655,7 @@ def test_a_second_verify_checks_no_conductor_piece_again(monkeypatch):
     first = verify_properties(curve, report, samples=0)
     calls.clear()
     assert verify_properties(curve, report, samples=0) == first
-    assert calls and not [w for w in calls if M.conductor_piece(w)]
+    assert calls and not [w for w in calls if M.conductor_slots(w) is not None]
     assert first["graded"] > len(calls)
 
 
@@ -646,7 +669,7 @@ def test_a_failing_conductor_piece_is_not_recorded(monkeypatch):
     bound = default_degree_bound(curve, M)
     w0 = next(
         w for w in range(M.min_shift(), bound + 1)
-        if M.conductor_piece(w) and len(M.piece_basis(w)) > 1
+        if M.conductor_slots(w) is not None and len(M.piece_basis(w)) > 1
     )
     last = M.piece_basis(w0)[-1]
     real = connection.apply_nabla_E

@@ -475,6 +475,26 @@ def test_rational_roots_stops_before_building_later_candidates(monkeypatch):
     assert tried == [Fraction(-1), Fraction(1)]
 
 
+def test_rational_roots_budgets(monkeypatch):
+    # The isqrt of each end coefficient cleared to integers may reach the
+    # divisor budget, and not pass it; a linear factor needs no search.
+    monkeypatch.setattr(curve_module, "ROOT_DIVISOR_BUDGET", 10)
+    assert rational_roots([Fraction(100, 7), Fraction(-101, 7), Fraction(1, 7)]) == [
+        (Fraction(1), 1), (Fraction(100), 1)]
+    for coeffs in ([121, -122, 1], [1, -122, 121], [11, -122, 11 * 121]):
+        with pytest.raises(InputError, match="^root search: an end coefficient"):
+            rational_roots(coeffs)
+    assert rational_roots([121, -1]) == [(Fraction(121), 1)]
+    # 3u^3 + 3u + 2 has no rational root: its eight candidates +-1, +-1/3,
+    # +-2, +-2/3 cost three steps each, one per degree.
+    monkeypatch.setattr(curve_module, "ROOT_DIVISOR_BUDGET", 10 ** 7)
+    monkeypatch.setattr(curve_module, "ROOT_STEP_BUDGET", 24)
+    assert rational_roots([2, 3, 0, 3]) == []
+    monkeypatch.setattr(curve_module, "ROOT_STEP_BUDGET", 23)
+    with pytest.raises(InputError, match="^root search: more than the budget of 23 steps$"):
+        rational_roots([2, 3, 0, 3])
+
+
 def test_only_the_mixed_factor_uses_trial_division(monkeypatch):
     calls = []
     real = curve_module.rational_roots
