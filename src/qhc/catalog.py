@@ -4,8 +4,9 @@ The ADE entries are the rows of one table, _ADE.  Each row names the
 minimal hand-picked cyclotomic extension needed to split f into branches,
 and gives each binomial branch's a and b as signed powers of that field's
 generator; the Y family is built by the same function.  Entries are fully
-validated at load, a*b^w_x = -1 included.  Fixture modules (rank-one
-families and normalization/maximal-ideal modules) are emitted as
+validated at load, a*b^w_x = -1 included.  Fixture modules (the Y
+family's rank-one families, and each ADE entry's "normalization",
+"maximal_ideal" and "free_cyclic", see fixture_modules) are emitted as
 ModuleSpec-style data.
 """
 
@@ -147,8 +148,13 @@ def fixture_modules(entry: CatalogEntry) -> List[FixtureModule]:
 
     YFamily entries get the two fixture families { e_11 + e_21, t_2^h e_21 }
     for h outside Gamma_2 and { e_11 + t_2^h e_21, e_21 } for h outside
-    the branch value semigroup; ADE entries ship the full normalization
-    and the maximal-ideal module.
+    the branch value semigroup.  ADE entries ship three on the cover
+    ((0,), ..., (0,)): "normalization", A (1, ..., 1) + sum_i sum_{1 <= g
+    <= kappa_i} A t_i^g e_i1, which is the normalization A-bar only on an
+    irreducible entry (on a reducible one it holds no idempotent e_i, and
+    on A_1, kappa = (1, 1), it is A itself); "maximal_ideal", the ideal
+    (x, y) of A; and "free_cyclic", A (1, ..., 1) = A.  The names stay
+    as they are, since fixtures are looked up by them.
     """
     curve = entry.curve()
     fld = curve.field
@@ -176,7 +182,8 @@ def fixture_modules(entry: CatalogEntry) -> List[FixtureModule]:
             )
             fixtures.append(FixtureModule("case2_h%d" % h, cover2, gens))
         return fixtures
-    # ADE rank-one fixtures: full normalization and the maximal ideal.
+    # ADE rank-one fixtures: "normalization" (A-bar only on an irreducible
+    # entry), the maximal ideal and A itself.
     cover = FreeCover(tuple((0,) for _ in range(curve.r)))
     ones = ModuleElement(fld, {(i, 0, 0): one for i in range(curve.r)})
     norm_gens = [ones]

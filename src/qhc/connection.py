@@ -11,20 +11,22 @@ commutator identity by exact sampling, on a basis of each degree piece
 that is the cover's unit vectors, with no elimination, on a conductor
 piece: every key of the cover piece lies in the conductor, whose
 exponents kappa_i the curve holds (QuasiCurve.conductors,
-GradedSubmodule.conductor_slots).  The checks on such a unit vector read
-its key and its slot's shift but no other slot and no generator, so one
-that passed is recorded on the curve per bound, q and operators as
-(slot, shift, exponent), and a later verify there does not check it
-again, whatever cover it has the slot in.  A nabla_D image of two
-degrees is a ConsistencyError.  Each entry point takes the module's own
-curve or one equal to it.
+GradedSubmodule.conductor_slots).  q_i = c_i t_i^(g_i) with g_i >= 0, so
+nabla_D maps such a unit vector into the conductor, and an image outside
+it is a ConsistencyError.  The checks on the unit vector then read its
+key and its slot's shift but no other slot and no generator, so one that
+passed is kept in one set on the curve, under ("conductor_vectors", q,
+nabla_E, nabla_D), as (slot, shift, exponent), and a later verify does
+not check it again, whatever cover it has the slot in.  A nabla_D image
+of two degrees is a ConsistencyError.  Each entry point takes the
+module's own curve or one equal to it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .curve import QuasiCurve
 from .derivation import euler, koszul, q_element
@@ -112,7 +114,6 @@ class ConnectionReport:
     c3: Tuple[bool, Optional[int]]
     module: GradedSubmodule  # canonically embedded (and shifted on the C3 path)
     images: List[ModuleElement] = dc_field(default_factory=list)
-    verification: Dict[str, int] = dc_field(default_factory=dict)
     _witnesses: Optional[List[Optional[Witness]]] = dc_field(
         default=None, init=False, repr=False, compare=False
     )
@@ -220,28 +221,6 @@ def _random_module_element(
     return None
 
 
-def _conductor_record(
-    curve: QuasiCurve, M: GradedSubmodule, q: tuple
-) -> Optional[Set[Tuple[int, int, int, int]]]:
-    """The conductor unit vectors that passed the gradedness checks on
-    this curve, each as (i, j, f_ij, e); None on a module with no
-    conductor bound.
-
-    On a conductor piece the basis is the cover's unit vectors, and the
-    checks on the one of key (i, j, e) (nabla_E = w id, the degree and
-    conductor membership of nabla_D, the commutator) read only the curve,
-    q, the bound, the two operators, the key and its slot's shift f_ij =
-    cover.shifts[i][j]: no other slot of the cover and no generator.  So
-    one set is kept on the curve per bound, q and operators, the
-    operators as verify_properties finds them now, and any module whose
-    cover has the slot (i, j) at shift f_ij reads it.
-    """
-    if M.conductor is None:
-        return None
-    records = curve._derived.setdefault("conductor_vectors", {})
-    return records.setdefault((M.conductor, q, apply_nabla_E, apply_nabla_D), set())
-
-
 def verify_properties(
     curve: QuasiCurve,
     report: ConnectionReport,
@@ -259,12 +238,15 @@ def verify_properties(
     nabla_E(nd) = (w + lam) nd.  Any failure raises with the offending
     sample or degree.
 
-    On a conductor piece (GradedSubmodule.conductor_slots) each unit
-    vector that passed is recorded on the curve by its slot, the slot's
-    shift and its exponent (_conductor_record); one that an earlier
-    verify on this curve recorded, for this module's cover or another
-    with that slot at that shift, is counted as checked and not checked
-    again.  An image of nabla_D of two degrees raises ConsistencyError.
+    On a conductor piece (GradedSubmodule.conductor_slots) the basis is
+    the cover's unit vectors, and a nonzero nabla_D image of one must lie
+    in the conductor (in_conductor), not only in M.  Each unit vector that
+    passed is added as (i, j, f_ij, e) to the curve's set under
+    ("conductor_vectors", q, nabla_E, nabla_D), the operators as
+    qhc.connection holds them when called; one that an earlier verify on
+    this curve added, for this module's cover or another with that slot
+    at that shift, is counted as checked and not checked again.  An image
+    of nabla_D of two degrees raises ConsistencyError.
     """
     if not report.succeeded:
         raise InputError("cannot verify properties of a failed construction")
@@ -302,7 +284,9 @@ def verify_properties(
                 )
         counts["leibniz"] += 1
 
-    record = _conductor_record(curve, M, q)
+    record = curve._derived.setdefault(
+        ("conductor_vectors", q, apply_nabla_E, apply_nabla_D), set()
+    )
     fld, shifts = curve.field, M.cover.shifts
     for w in range(M.min_shift(), degree_bound + 1):
         slots = M.conductor_slots(w)
@@ -326,14 +310,13 @@ def verify_properties(
             if apply_nabla_E(curve, M.cover, vec) != vec.scale(w_k):
                 raise ConsistencyError("nabla_E is not w*id in degree %d" % w)
             nd = apply_nabla_D(curve, M.cover, vec, q)
-            # Recorded only where the bound decided the membership: one
-            # that read M's own piece depends on its generators.
-            bounded = True
             if nd:
                 if _image_degree(curve, M.cover, nd) != w + lam:
                     raise ConsistencyError("nabla_D does not raise degree by %d" % lam)
-                bounded = M.in_conductor(nd.coeffs)
-                if not bounded and not M.is_member(nd):
+                if slots is not None:
+                    if not M.in_conductor(nd.coeffs):
+                        raise ConsistencyError("nabla_D leaves the conductor in degree %d" % w)
+                elif not M.is_member(nd):
                     raise ConsistencyError(
                         "nabla_D leaves the module on a degree-%d basis vector" % w
                     )
@@ -343,9 +326,7 @@ def verify_properties(
             if apply_nabla_E(curve, M.cover, nd) != nd.scale(wlam_k):
                 raise ConsistencyError("commutator identity failed in degree %d" % w)
             counts["integrable"] += 1
-            if slots is not None and bounded:
+            if slots is not None:
                 ((i, j, e),) = vec.coeffs
                 record.add((i, j, shifts[i][j], e))
-
-    report.verification = counts
     return counts

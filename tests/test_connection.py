@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhc import connection, io, linalg, semigroup
+from qhc import cli, connection, io, linalg, semigroup
 from qhc.catalog import ADE_LABELS, catalog_get, fixture_modules
 from qhc.connection import (
     ConnectionReport,
@@ -200,7 +200,6 @@ def test_verify_properties_counts_and_exactness():
     assert counts["leibniz"] > 0
     assert counts["graded"] > 0
     assert counts["integrable"] == counts["graded"]
-    assert report.verification == counts
     for bounds in ({"samples": -3}, {"degree_bound": -5}):
         with pytest.raises(InputError, match="nonnegative"):
             verify_properties(curve, report, **bounds)
@@ -414,6 +413,62 @@ def test_verify_properties_catches_nabla_E_wrong_only_above_the_bound(monkeypatc
     assert w <= bound < w + lam
 
 
+# -- mutants of q: one branch's exponent or coefficient wrong -------------------
+
+
+def _q_mutants(label, kind):
+    """(fixture, branch, curve, report, mutant q) for every succeeded
+    fixture of label and every branch i, q_i = (c_i, g_i) changed to
+    (c_i, g_i + 1) for kind "exponent" and to (2 c_i, g_i) for kind
+    "coefficient"; each fixture on a curve of its own."""
+    entry = catalog_get(label)
+    for fx in fixture_modules(entry):
+        curve = entry.curve()
+        report = natural_connection(curve, fx.module(curve))
+        if not report.succeeded:
+            continue
+        q = q_element(curve)
+        for i in range(curve.r):
+            mutant = list(q)
+            c, g = q[i]
+            mutant[i] = (c, g + 1) if kind == "exponent" else (c + c, g)
+            yield fx.name, i, curve, report, tuple(mutant)
+
+
+def _mutant_failures(monkeypatch, label, kind, **kwargs):
+    """The ConsistencyError text verify_properties(**kwargs) raises with
+    each mutant q of _q_mutants, None where it passes, by fixture and
+    branch."""
+    out = {}
+    for name, i, curve, report, mutant in _q_mutants(label, kind):
+        monkeypatch.setattr(connection, "q_element", lambda c, mutant=mutant: mutant)
+        try:
+            verify_properties(curve, report, **kwargs)
+            out[(name, i)] = None
+        except ConsistencyError as exc:
+            out[(name, i)] = str(exc)
+        monkeypatch.undo()
+    return out
+
+
+@pytest.mark.parametrize("label", MUTANT_LABELS)
+def test_verify_properties_catches_a_q_one_too_high_on_one_branch(monkeypatch, label):
+    # The degree sweep alone sees it: nabla_D raises that branch's keys by
+    # the wrong degree.
+    failures = _mutant_failures(monkeypatch, label, "exponent", samples=0)
+    assert failures and [case for case, text in failures.items() if text is None] == []
+
+
+@pytest.mark.parametrize("label", MUTANT_LABELS)
+def test_verify_properties_catches_a_doubled_q_coefficient_at_the_cli_default(monkeypatch, label):
+    # The degree sweep cannot see it: the commutator identity is invariant
+    # under scaling nabla_D, and a conductor image is a member anyway.  The
+    # Leibniz samples of the CLI default (100, seed 0) must.
+    failures = _mutant_failures(monkeypatch, label, "coefficient", samples=100, seed=0)
+    missed = [case for case, text in failures.items() if not (text or "").startswith("Leibniz failed")]
+    assert failures and missed == []
+
+
 def free_square_module(curve):
     """A*(1, 1) + A*(1, -1) in two slots of shift 0 on every branch: after
     the canonical embedding the second generator is e_i1 - 2 e_i2 on each
@@ -573,7 +628,15 @@ def _connect_and_verify(curve, fx, seed):
 
 
 def _records(curve):
-    return curve._derived.get("conductor_vectors", {})
+    """Every conductor-vector set on the curve, by its key."""
+    return {k: v for k, v in curve._derived.items() if k[0] == "conductor_vectors"}
+
+
+def _record(curve):
+    """The set verify_properties keeps for q and the operators as
+    qhc.connection holds them now."""
+    key = ("conductor_vectors", q_element(curve), connection.apply_nabla_E, connection.apply_nabla_D)
+    return curve._derived.get(key, set())
 
 
 def _entries(cover, keys):
@@ -615,8 +678,8 @@ def test_the_record_changes_no_count(label):
 
 @pytest.mark.parametrize("label", ["Y_5_4", "D_5", "E_7", "A_3"])
 def test_the_record_holds_every_passed_conductor_piece_and_nothing_else(label):
-    # After a pass on one curve, the one record, under the curve's bound, q
-    # and the operators, holds exactly the conductor unit vectors (i, j,
+    # After a pass on one curve, the one record, under q and the
+    # operators, holds exactly the conductor unit vectors (i, j,
     # f_ij, e) of the verified modules up to their default bounds.
     entry = catalog_get(label)
     curve = entry.curve()
@@ -625,7 +688,7 @@ def test_the_record_holds_every_passed_conductor_piece_and_nothing_else(label):
         counts, report = _connect_and_verify(curve, fx, k)
         if counts is not None:
             verified.append(report.module)
-    key = (curve.conductors, q_element(curve), apply_nabla_E, apply_nabla_D)
+    key = ("conductor_vectors", q_element(curve), apply_nabla_E, apply_nabla_D)
     records = _records(curve)
     assert list(records) == [key]
     expected = set()
@@ -681,7 +744,7 @@ def test_a_failing_conductor_piece_is_not_recorded(monkeypatch):
     monkeypatch.setattr(connection, "apply_nabla_E", wrong_on_last)
     with pytest.raises(ConsistencyError, match="nabla_E is not w\\*id in degree %d$" % w0):
         verify_properties(curve, report, samples=0)
-    record = connection._conductor_record(curve, M, q_element(curve))
+    record = _record(curve)
     checked = _conductor_entries(M, w0)
     assert checked[-1] == _entries(M.cover, last.coeffs)[0]
     assert len(checked) > 2 and record == set(checked[:-1])
@@ -716,7 +779,7 @@ def test_a_slot_shared_with_another_cover_is_not_checked_again(monkeypatch):
 
     monkeypatch.setattr(connection, "apply_nabla_D", counted)
     verify_properties(curve, first, samples=0)
-    recorded = set(connection._conductor_record(curve, first.module, q_element(curve)))
+    recorded = set(_record(curve))
     calls.clear()
     assert verify_properties(curve, second, samples=0) == fresh
     M = second.module
@@ -731,18 +794,20 @@ def test_a_slot_shared_with_another_cover_is_not_checked_again(monkeypatch):
     assert unshared <= set(calls)
 
 
-def test_a_vector_whose_image_the_bound_does_not_decide_is_not_recorded(monkeypatch):
+def test_a_vector_whose_image_the_bound_does_not_decide_is_not_recorded(tmp_path, capsys, monkeypatch):
     # The cusp's normalization squared on the cover ((0, 3),): degree 2 is a
     # conductor piece, its one key (0, 0, 2) has e >= kappa = 2, but degree
     # 3 = 2 + lam holds e_12 = (0, 1, 0), below the bound.  An operator that
-    # adds e_12 to nabla_D of that unit vector keeps the image in M, which
-    # M's own piece decides: the vector passes, is not recorded, and the
-    # next verify checks it again.
+    # adds e_12 to nabla_D of that unit vector keeps the image in M but
+    # takes it out of the conductor, which q_i = c_i t_i^(g_i), g_i >= 0,
+    # never does: verify raises there and records nothing for the vector,
+    # and the CLI exits 2.
     curve = cusp_curve()
     fld = curve.field
     one = fld.one()
     gens = [ModuleElement(fld, {(0, j, e): one}) for j in (0, 1) for e in (0, 1)]
-    report = natural_connection(curve, GradedSubmodule(curve, FreeCover(((0, 3),)), gens))
+    module = GradedSubmodule(curve, FreeCover(((0, 3),)), gens)
+    report = natural_connection(curve, module)
     M = report.module
     assert report.path == "C2-path" and M.cover.shifts == ((0, 3),)
     assert M.conductor_slots(2) == [(0, 0, 2)] and M.conductor_slots(3) is None
@@ -757,13 +822,16 @@ def test_a_vector_whose_image_the_bound_does_not_decide_is_not_recorded(monkeypa
         return out + e12 if list(v.coeffs) == [(0, 0, 2)] else out
 
     monkeypatch.setattr(connection, "apply_nabla_D", adds_e12)
-    first = verify_properties(curve, report, samples=0)
-    record = connection._conductor_record(curve, M, q_element(curve))
-    conductor = set(_conductor_entries(M, default_degree_bound(curve, M)))
-    assert (0, 0, 0, 2) in conductor and record == conductor - {(0, 0, 0, 2)}
-    calls.clear()
-    assert verify_properties(curve, report, samples=0) == first
-    assert (0, 0, 0, 2) in calls
+    with pytest.raises(ConsistencyError, match="^nabla_D leaves the conductor in degree 2$"):
+        verify_properties(curve, report, samples=0)
+    assert (0, 0, 0, 2) in calls and (0, 0, 0, 2) not in _record(curve)
+    cpath = tmp_path / "cusp.json"
+    cpath.write_text(json.dumps(io.curve_to_json(curve)))
+    mpath = tmp_path / "module.json"
+    mpath.write_text(json.dumps(io.module_to_json(module)))
+    code = cli.main(["module", "--curve", str(cpath), "--module", str(mpath), "connect", "--samples", "0"])
+    err = capsys.readouterr().err
+    assert code == 2 and "nabla_D leaves the conductor in degree 2" in err
 
 
 def test_a_module_with_no_conductor_bound_writes_no_entry():

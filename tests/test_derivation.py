@@ -1,11 +1,12 @@
 """Euler/Koszul derivations, canonical extensions, and the q-element."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qhc.catalog import catalog_get
+from qhc.catalog import ADE_LABELS, catalog_get
 from qhc.curve import QuasiCurve
 from qhc.derivation import (
     DerivationOnA,
@@ -17,9 +18,10 @@ from qhc.derivation import (
 )
 from qhc.errors import InputError
 from qhc.field import QQ
+from qhc.module import ModuleElement, coordinate_ring
 from qhc.poly import BiPoly, monomials_of_weight
 
-from conftest import cusp_curve, rational_poly, times, y_family_curve
+from conftest import cusp_curve, random_reduced_curve, rational_poly, times, y_family_curve
 from test_module import CATALOG_LABELS
 
 
@@ -167,6 +169,41 @@ def test_q_times_x_lands_in_the_image():
         (2, 0): Fraction(1, 3),
         (0, 3): Fraction(-4, 3),
     }
+
+
+def _q_is_in_A(curve):
+    """Whether q, as the cover element sum_i c_i t_i^(g_i) e_i1, lies in
+    the image of A."""
+    q = q_element(curve)
+    element = ModuleElement(curve.field, {(i, 0, g): c for i, (c, g) in enumerate(q)})
+    return coordinate_ring(curve).is_member(element)
+
+
+def test_q_is_not_in_A_on_the_catalog():
+    # D = q E on the normalization; q in A would make the Koszul derivation
+    # an A-multiple of the Euler derivation.  Every catalog curve: the ADE
+    # entries and every coprime Y_m_n.
+    labels = list(ADE_LABELS) + [
+        "Y_%d_%d" % (m, n) for m in range(1, 11) for n in range(1, 11) if math.gcd(m, n) == 1
+    ]
+    assert len(labels) == 75
+    assert [label for label in labels if _q_is_in_A(catalog_get(label).curve())] == []
+
+
+def test_q_is_not_in_A_on_random_curves():
+    # The draws with a smooth branch have no q.
+    rng = random.Random(7)
+    curves = []
+    for _ in range(200):
+        curve = random_reduced_curve(rng)[0]
+        try:
+            q_element(curve)
+        except InputError as exc:
+            assert "smooth branch" in str(exc)
+            continue
+        curves.append(curve)
+    assert len(curves) == 160
+    assert not any(_q_is_in_A(curve) for curve in curves)
 
 
 def test_extension_compatibility_on_random_elements(rng):
