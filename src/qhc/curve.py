@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, InputError
-from .field import FieldElement, NumberField, _common_denominator, as_fraction
+from .field import FieldElement, NumberField, _common_denominator, _poly_divmod, as_fraction
 from .poly import BiPoly, UniPoly
 
 
@@ -99,7 +99,9 @@ def infer_weights(f: BiPoly) -> Tuple[int, int]:
         elif ratio != cand:
             raise InputError("not quasi-homogeneous")
     if ratio is None:
-        raise InputError("ambiguous")
+        raise InputError(
+            'weights are ambiguous for a single monomial; give them explicitly ("weights" in a CurveSpec)'
+        )
     return ratio
 
 
@@ -174,7 +176,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
                 raise InputError("root search: more than the budget of %d steps" % ROOT_STEP_BUDGET)
             mult = 0
             while len(work) > 1 and eval_at(work, r) == 0:
-                work = _deflate(work, r)
+                work = _poly_divmod(work, [-r, Fraction(1)])[0]
                 mult += 1
             if mult:
                 roots.append((r, mult))
@@ -224,17 +226,6 @@ def find_rational_root(coeffs: Sequence[Fraction]) -> Optional[Fraction]:
     return None
 
 
-def _deflate(cs: List[Fraction], r: Fraction) -> List[Fraction]:
-    """Synthetic division of low-first coefficients by (x - r), exact by assumption."""
-    out = []
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * r + c
-        out.append(acc)
-    out.pop()  # remainder, zero
-    return list(reversed(out))
-
-
 def factor(
     f: BiPoly, weights: Tuple[int, int], field: NumberField
 ) -> Tuple[FieldElement, List[Branch]]:
@@ -242,42 +233,40 @@ def factor(
 
     Automatic root extraction works over Q only; over an extension the
     caller must supply the branch list explicitly (see QuasiCurve.create).
-    The roots of the mixed factor come from rational_roots (read directly
-    when it is linear, by trial division while its degree is >= 2), each
-    branch's b from exact integer roots (_solve_b).
+    The coefficients of the mixed factor are read off f's terms at the
+    positions the weights fix; its roots come from rational_roots (read
+    directly when it is linear, by trial division while its degree is
+    >= 2), each branch's b from exact integer roots (_solve_b).
     """
     wx, wy = weights
     if math.gcd(wx, wy) != 1 or wx <= 0 or wy <= 0:
         raise InputError("weights must be positive and coprime")
-    f.weighted_degree(wx, wy)  # validates homogeneity
-    exps = [e for e, _ in f.terms]
-    min_x = min(a for a, _ in exps)
-    min_y = min(b for _, b in exps)
+    wf = f.weighted_degree(wx, wy)  # validates homogeneity
+    min_x = min(a for (a, _), _ in f.terms)
+    min_y = min(b for (_, b), _ in f.terms)
     if min_x > 1 or min_y > 1:
         raise InputError("not reduced")
     branches: List[Branch] = []
-    rest = f
     if min_x:
         branches.append(_make_branch(BranchKind.AXIS_X, field, wx, wy))
-        rest = rest.exact_div(BiPoly.monomial(field, field.one(), 1, 0))
     if min_y:
         branches.append(_make_branch(BranchKind.AXIS_Y, field, wx, wy))
-        rest = rest.exact_div(BiPoly.monomial(field, field.one(), 0, 1))
-    unit = field.one()
-    if len(rest.terms) == 1 and rest.terms[0][0] == (0, 0):
-        unit = rest.terms[0][1]
-    elif rest.terms:
-        # rest = x^{s*wy} * P(y^{wx}/x^{wy}); c_j is the coefficient of
-        # x^{(s-j)wy} y^{j*wx}.
-        w_rest = rest.weighted_degree(wx, wy)
-        if w_rest % (wx * wy) != 0:
-            raise ConsistencyError("mixed factor has unexpected weight %d" % w_rest)
-        s = w_rest // (wx * wy)
-        coeffs = [field.zero()] * (s + 1)
-        for (a, b), c in rest.terms:
-            if b % wx != 0 or a != (s - b // wx) * wy:
-                raise ConsistencyError("unexpected monomial in mixed factor")
-            coeffs[b // wx] = c
+    # f = x^min_x * y^min_y * x^{s*wy} * P(y^{wx}/x^{wy}); c_j, the
+    # coefficient of u^j in P, is that of x^{min_x+(s-j)wy} y^{min_y+j*wx}.
+    w_mixed = wf - min_x * wx - min_y * wy
+    if w_mixed % (wx * wy) != 0:
+        raise ConsistencyError("mixed factor has unexpected weight %d" % w_mixed)
+    s = w_mixed // (wx * wy)
+    coeffs = [field.zero()] * (s + 1)
+    for (a, b), c in f.terms:
+        j, off = divmod(b - min_y, wx)
+        if off or a != min_x + (s - j) * wy:
+            raise ConsistencyError("unexpected monomial in mixed factor")
+        coeffs[j] = c
+    # P = unit * prod(1 + a_i u), so the unit is c_0; P is that constant
+    # when there is no binomial branch (s = 0).
+    unit = coeffs[0]
+    if s:
         if field.degree != 1:
             raise InputError(
                 "root not in field: explicit branches required over an extension"
@@ -290,16 +279,13 @@ def factor(
         if total != s:
             residual = rat
             for r, _ in roots:
-                residual = _deflate(residual, r)
+                residual = _poly_divmod(residual, [-r, Fraction(1)])[0]
             raise InputError(
                 "root not in field: %s"
                 % " + ".join(
                     "%s*u^%d" % (c, i) for i, c in enumerate(residual) if c
                 )
             )
-        # g = unit * x^{s*wy} * prod(1 + a_i u) with u = y^{wx}/x^{wy},
-        # so the unit is the coefficient of the pure-x term.
-        unit = coeffs[0]
         for rho, _ in roots:
             if rho == 0:
                 raise ConsistencyError("zero root after axis extraction")

@@ -105,7 +105,9 @@ def curve_from_json(data: Dict[str, Any]) -> QuasiCurve:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("malformed CurveSpec: %s" % exc) from exc
     if f:
-        wx, wy = weights if weights is not None else infer_weights(f)
+        if weights is None:
+            weights = infer_weights(f)
+        wx, wy = weights
         degree = max(a * wx + b * wy for (a, b), _ in f.terms)
         if degree > DEGREE_BUDGET:
             raise InputError("f has weighted degree %d, above the budget %d" % (degree, DEGREE_BUDGET))

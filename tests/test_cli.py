@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from qhc import connection, io
+from qhc import curve as curve_module
 from qhc.catalog import ADE_LABELS, catalog_get, fixture_modules
 from qhc.cli import build_parser, main
 from qhc.errors import InputError
@@ -295,6 +296,38 @@ def test_cli_rejects_a_cover_row_outside_the_branches(tmp_path, capsys, branch):
     assert main(argv) == 1
     assert capsys.readouterr().err == "input error: cover branch index %d out of range\n" % branch
 
+
+def test_cli_single_monomial_needs_weights(tmp_path, capsys):
+    # x*y has no weight ratio to infer; given weights it is the two axes,
+    # with the constant mixed factor 1 as its unit.
+    spec = {"f": [_term(1, 1, 1)]}
+    assert main(["curve", "--in", _write(tmp_path, "curve.json", spec), "branches"]) == 1
+    assert capsys.readouterr().err == (
+        'input error: weights are ambiguous for a single monomial; '
+        'give them explicitly ("weights" in a CurveSpec)\n'
+    )
+    spec["weights"] = [1, 1]
+    assert main(["curve", "--in", _write(tmp_path, "weighted.json", spec), "branches"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [br["kind"] for br in out["branches"]] == ["axis_x", "axis_y"]
+    assert out["unit"] == ["1/1"]
+
+
+def test_curve_from_json_infers_weights_once(monkeypatch):
+    # The weights inferred for the degree budget are the ones the curve is
+    # built with, so QuasiCurve.create infers none again.
+    calls = []
+    real = io.infer_weights
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(io, "infer_weights", counting)
+    monkeypatch.setattr(curve_module, "infer_weights", counting)
+    curve = io.curve_from_json({"f": [_term(1, 4, 0), _term(9, 2, 3), _term(8, 0, 6)]})
+    assert (curve.wx, curve.wy) == (3, 2)
+    assert len(calls) == 1
 
 def test_cli_infers_weights_from_three_terms_and_factors_two_binomials(tmp_path, capsys):
     # x^4 + 9x^2*y^3 + 8y^6 = (x^2 + y^3)(x^2 + 8y^3)

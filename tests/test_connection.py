@@ -1,6 +1,7 @@
 """The natural graded integrable connection and its verification."""
 
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -653,6 +654,33 @@ def _conductor_entries(M, top):
         if M.conductor_slots(w) is not None
         for entry in _entries(M.cover, M.conductor_slots(w))
     ]
+
+
+METAMORPHIC_LABELS = list(ADE_LABELS) + [
+    "Y_%d_%d" % (m, n) for m in range(1, 8) for n in range(1, 8) if math.gcd(m, n) == 1
+]
+
+
+def _connection_outcome(label, cover, generators):
+    """What natural_connection and verify_properties(samples=0) decide for
+    the module, on a fresh curve of the entry."""
+    curve = catalog_get(label).curve()
+    report = natural_connection(curve, GradedSubmodule(curve, cover, generators))
+    counts = verify_properties(curve, report, samples=0) if report.succeeded else None
+    return report.module.cover.shifts, report.path, report.lam, report.c1, report.c2, report.c3, counts
+
+
+@pytest.mark.parametrize("label", METAMORPHIC_LABELS)
+def test_reordered_or_redundant_generators_change_no_connection(label):
+    # Reversing the generators, or appending 2*m_1, spans the same module,
+    # so its canonical cover, path, checks and verified counts stay.
+    entry = catalog_get(label)
+    two = entry.curve().field.from_rational(2)
+    for fx in fixture_modules(entry):
+        gens = list(fx.generators)
+        expected = _connection_outcome(label, fx.cover, gens)
+        for variant in (gens[::-1], gens + [gens[0].scale(two)]):
+            assert _connection_outcome(label, fx.cover, variant) == expected, (label, fx.name)
 
 
 @pytest.mark.parametrize("label", CATALOG_LABELS)

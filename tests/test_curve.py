@@ -97,6 +97,45 @@ def test_factor_preserves_the_unit():
     assert len(branches) == 2
 
 
+def _factored(terms, weights):
+    """factor's unit and branches as rationals: (unit, [(kind, a, b)])."""
+    unit, branches = factor(rational_poly(QQ, terms), weights, QQ)
+    return unit.as_rational(), [
+        (br.kind.value,) + tuple(None if v is None else v.as_rational() for v in (br.a, br.b))
+        for br in branches
+    ]
+
+
+def test_factor_reads_a_zero_middle_coefficient():
+    # x^4 - y^6 = x^4 (1 - u^2) with u = y^3/x^2: c_1 = 0 has no term of f.
+    binomials = [("binomial", -1, 1), ("binomial", 1, -1)]
+    assert _factored({(4, 0): 1, (0, 6): -1}, (3, 2)) == (1, binomials)
+    # x*y*(x^4 - y^6): the same mixed factor, shifted by both axes.
+    assert _factored({(5, 1): 1, (1, 7): -1}, (3, 2)) == (
+        1, [("axis_x", None, None), ("axis_y", None, None)] + binomials)
+
+
+def test_factor_reads_a_constant_mixed_factor_as_the_unit():
+    axes = [("axis_x", None, None), ("axis_y", None, None)]
+    assert _factored({(1, 1): 1}, (1, 1)) == (1, axes)
+    assert _factored({(1, 1): 3}, (2, 1)) == (3, axes)
+
+
+@pytest.mark.parametrize(
+    "terms, weights, message",
+    [
+        ({(4, 0): 1, (0, 6): 1}, (3, 2), "root not in field: 1*u^0 + 1*u^2"),
+        ({(6, 0): 1, (0, 9): -1}, (3, 2), "root not in field: -1*u^0 + -1*u^1 + -1*u^2"),
+        ({(2, 1): 1}, (1, 1), "not reduced"),
+    ],
+    ids=["no-root", "one-root-deflated", "x-squared"],
+)
+def test_factor_error_texts(terms, weights, message):
+    with pytest.raises(InputError) as info:
+        factor(rational_poly(QQ, terms), weights, QQ)
+    assert str(info.value) == message
+
+
 def test_branch_conductor_values():
     assert branch_conductor(BranchKind.AXIS_Y, 3, 2) == 0
     assert branch_conductor(BranchKind.AXIS_X, 3, 2) == 0
@@ -297,13 +336,23 @@ def _reference_rational_roots(coeffs):
             acc = acc * r + c
         return acc
 
+    def deflate(cs, r):
+        """Synthetic division by (x - r), exact by assumption."""
+        out = []
+        acc = Fraction(0)
+        for c in reversed(cs):
+            acc = acc * r + c
+            out.append(acc)
+        out.pop()  # remainder, zero
+        return list(reversed(out))
+
     work = [Fraction(c) for c in ints]
     for r in sorted(candidates, key=lambda q: (q.numerator, q.denominator)):
         if len(work) <= 1:
             break
         mult = 0
         while len(work) > 1 and eval_at(work, r) == 0:
-            work = curve_module._deflate(work, r)
+            work = deflate(work, r)
             mult += 1
         if mult:
             roots.append((r, mult))
